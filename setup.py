@@ -1,29 +1,5 @@
-"""Build script: compiles the optional search kernel.
+"""Build script; all metadata lives in ``pyproject.toml``."""
 
-The package is fully functional without the extension (a pure-Python kernel
-with the same contract is selected at import time), so a failed compile only
-costs speed.
-"""
+from setuptools import setup
 
-import os
-
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.environ.get("CREW_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "crewsolver._speedups",
-                    ["src/crewsolver/_speedups.pyx"],
-                )
-            ],
-            language_level="3",
-        )
-    except ImportError:
-        pass
-
-setup(ext_modules=ext_modules)
+setup()

@@ -31,11 +31,9 @@ from .model import (
 )
 from .verify import PlaySequence, Reason, Verdict, verify_sequence
 from .solvers import (
-    ReservePlan,
     SolveReport,
     SolveStats,
     SolverMismatchError,
-    compute_reserves,
     solve,
     solve_exhaustive,
     solve_single_suit,
@@ -83,7 +81,6 @@ __all__ = [
     "PlayError",
     "PlaySequence",
     "Reason",
-    "ReservePlan",
     "SolveReport",
     "SolveStats",
     "SolverMismatchError",
@@ -94,7 +91,6 @@ __all__ = [
     "apply_trick",
     "check_tokens",
     "classify",
-    "compute_reserves",
     "dumps_instance",
     "dumps_witness",
     "format_graph",

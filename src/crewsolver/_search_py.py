@@ -1,11 +1,10 @@
 """Pure-Python exhaustive search kernel.
 
-Shares an exact contract with the compiled kernel in ``_speedups``: complete
-depth-first search over trick sequences with canonical branch order (leads in
-ascending player order when free; within a trick, each seat tries its cards
-in descending (value, suit) order), memoization of failed positions, and a
-node budget.  Given identical inputs both kernels return identical decisions
-and identical witnesses.
+Complete depth-first search over trick sequences with canonical branch order
+(leads in ascending player order when free; within a trick, each seat tries
+its cards in descending (value, suit) order), memoization of failed
+positions, and a node budget.  The branch order fixes the witness: the first
+accepting line found is always the same one.
 
 All pruning is decision-exact and cannot change the first accepting line:
 

@@ -1,8 +1,8 @@
 """Wall-clock benchmark suite.
 
 Informational only — no pass/fail.  Rows that correspond to an acceptance
-time target carry the target for comparison; the exhaustive rows run the
-same search once per kernel so the compiled speedup is visible.
+time target carry the target for comparison; the exhaustive row reports the
+search kernel's node count and decision beside its time.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from statistics import median
 from time import perf_counter
 
-from . import exhaustive
 from .generate import gen_graph, gen_single_suit, gen_single_value, gen_ss_owned
 from .model import Instance, Objective
 from .reduction import reduce_hp
@@ -109,23 +108,16 @@ def run_suite(quick: bool = False) -> list[BenchRow]:
 
     graph = gen_graph(5 if quick else 6, 0.4, seed=11)
     reduced = reduce_hp(graph)
-    kernels = exhaustive.available_kernels()
-    for kernel in ("c", "py"):
-        if kernel not in kernels:
-            rows.append(
-                BenchRow(f"exhaustive kernel={kernel}", 0, 0.0, None, "unavailable")
-            )
-            continue
-        report = solve_exhaustive(reduced, kernel=kernel)
-        rows.append(
-            BenchRow(
-                f"exhaustive kernel={kernel} reduced |V|={graph.vertices}",
-                runs,
-                _clocked(lambda k=kernel: solve_exhaustive(reduced, kernel=k), runs),
-                None,
-                f"nodes={report.stats.nodes} decision={report.decision}",
-            )
+    report = solve_exhaustive(reduced)
+    rows.append(
+        BenchRow(
+            f"exhaustive kernel={report.stats.kernel} reduced |V|={graph.vertices}",
+            runs,
+            _clocked(lambda: solve_exhaustive(reduced), runs),
+            None,
+            f"nodes={report.stats.nodes} decision={report.decision}",
         )
+    )
     return rows
 
 

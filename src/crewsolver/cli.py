@@ -2,8 +2,9 @@
 
 Subcommands: ``solve``, ``verify``, ``reduce``, ``gen``, ``classify``,
 ``bench``.  Exit codes follow one contract everywhere: 0 for yes/accepted,
-1 for no/rejected, 2 for errors, unparsable input, or an exhausted search
-budget.  ``--json`` switches any command's report to machine-readable form.
+1 for no/rejected, 2 for errors, unparsable input, an exhausted search
+budget, or any unexpected exception.  ``--json`` switches any command's
+report to machine-readable form.
 """
 
 from __future__ import annotations
@@ -294,6 +295,9 @@ def entry(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
+        return 2
+    except Exception as exc:  # a crash must never read as "not winnable"
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,50 +1,26 @@
-"""Exhaustive-search plumbing: kernel selection, encoding, decoding.
+"""Exhaustive-search plumbing: encoding and decoding around the kernel.
 
-Two interchangeable kernels implement the search itself: a compiled Cython
-module (``crewsolver._speedups``) and a pure-Python fallback
-(``crewsolver._search_py``).  The compiled kernel is preferred when it
-imported successfully, fits the instance (at most 64 cards, objectives,
-players and suits), and ``CREW_PURE`` is unset.  Both produce identical
-decisions and witnesses; ``crew bench`` compares their speed.
+The search itself is ``crewsolver._search_py.search``, which works on dense
+integer arrays; this module turns an :class:`Instance` into those arrays and
+the kernel's trick rows back into a :class:`PlaySequence`.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _search_py
 from .model import Card, Instance, Play, Trick
 from .verify import PlaySequence
 
-try:
-    from . import _speedups  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - build-environment dependent
-    _speedups = None
-
-HAVE_SPEEDUPS = _speedups is not None
-
-_C_LEN_LIMIT = 64
-
-
-def available_kernels() -> tuple[str, ...]:
-    return ("c", "py") if HAVE_SPEEDUPS else ("py",)
-
-
-def _fits_compiled(n: int, l: int, p: int, n_suits: int) -> bool:
-    return max(n, l, p, n_suits, 1) <= _C_LEN_LIMIT
-
 
 def run_search(
     instance: Instance,
     budget: int = 0,
-    kernel: str | None = None,
 ) -> tuple[int, PlaySequence | None, int, str]:
     """Decide ``instance`` by complete search.
 
-    Returns ``(status, witness, nodes, kernel_used)`` with status 1 (win),
-    0 (loss) or -1 (node budget exhausted).  ``kernel`` may force "c" or
-    "py"; by default the compiled kernel is used when available and the
-    instance fits its fixed-width limits.
+    Returns ``(status, witness, nodes, kernel)`` with status 1 (win), 0 (loss)
+    or -1 (node budget exhausted); ``kernel`` is ``"py"``, or ``"none"`` when
+    there are no objectives and nothing was searched.
     """
     inst = instance
     cards: list[Card] = []
@@ -79,27 +55,7 @@ def run_search(
         trump = suit_ids[inst.trump_suit]
     first_lead = -1 if inst.first_lead is None else inst.first_lead - 1
 
-    use = kernel
-    if use is None:
-        use = "py"
-        if (
-            HAVE_SPEEDUPS
-            and os.environ.get("CREW_PURE") != "1"
-            and _fits_compiled(len(cards), l, inst.players, len(suit_ids))
-        ):
-            use = "c"
-    if use == "c":
-        if not HAVE_SPEEDUPS:
-            raise RuntimeError("compiled kernel requested but not built")
-        if not _fits_compiled(len(cards), l, inst.players, len(suit_ids)):
-            raise RuntimeError("instance exceeds compiled-kernel limits")
-        mod = _speedups
-    elif use == "py":
-        mod = _search_py
-    else:
-        raise ValueError(f"unknown kernel {use!r}")
-
-    status, leads, tricks, nodes = mod.search(
+    status, leads, tricks, nodes = _search_py.search(
         inst.players,
         values,
         suits,
@@ -124,4 +80,4 @@ def run_search(
             out.append(Trick(lead=lead + 1, plays=plays))
         first = leads[0] + 1 if out else (inst.first_lead or 1)
         witness = PlaySequence(first_lead=first, tricks=tuple(out))
-    return (status, witness, nodes, use)
+    return (status, witness, nodes, "py")

@@ -143,19 +143,24 @@ def dumps_instance(instance: Instance, meta: dict | None = None) -> str:
     return json.dumps(instance_to_dict(instance, meta), indent=2) + "\n"
 
 
-def loads_instance(text: str) -> Instance:
+def _parse_json(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
-    return dict_to_instance(doc)
+    except RecursionError as exc:
+        raise FormatError("invalid JSON: nested too deeply") from exc
+
+
+def loads_instance(text: str) -> Instance:
+    return dict_to_instance(_parse_json(text))
 
 
 def instance_meta(text: str) -> dict | None:
     """The optional ``meta`` block of an instance document, if present."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
+        doc = _parse_json(text)
+    except FormatError:
         return None
     if isinstance(doc, dict) and isinstance(doc.get("meta"), dict):
         return doc["meta"]
@@ -212,8 +217,4 @@ def dumps_witness(sequence: PlaySequence) -> str:
 
 
 def loads_witness(text: str) -> PlaySequence:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    return dict_to_witness(doc)
+    return dict_to_witness(_parse_json(text))

@@ -33,7 +33,6 @@ from .model import (
     Card,
     Instance,
     InstanceClass,
-    Objective,
     Play,
     Trick,
     classify,
@@ -69,51 +68,12 @@ class SolveReport:
     stats: SolveStats
 
 
-@dataclass(frozen=True, slots=True)
-class ReservePlan:
-    """Cards a player must not discard: the ``count`` maxima of their hand.
-
-    ``count`` is the largest number of the player's uncompleted objective
-    cards lying in any single other hand — each such card needs its own
-    winning trick later, and a trick can only be won with a card.
-    """
-
-    player: int
-    count: int
-    reserved: frozenset[Card]
-
-
-def compute_reserves(
-    hands: tuple[frozenset[Card], ...],
-    objectives: tuple[Objective, ...],
-    completed: frozenset[int] = frozenset(),
-) -> tuple[ReservePlan, ...]:
-    """Reserve plans for every player given current hands and open objectives."""
-    p = len(hands)
-    counts: dict[tuple[int, int], int] = {}
-    for idx, obj in enumerate(objectives):
-        if idx in completed:
-            continue
-        for holder, hand in enumerate(hands, start=1):
-            if obj.card in hand and holder != obj.owner:
-                counts[(obj.owner, holder)] = counts.get((obj.owner, holder), 0) + 1
-                break
-    plans = []
-    for q in range(1, p + 1):
-        j = max((c for (ow, _), c in counts.items() if ow == q), default=0)
-        top = sorted(hands[q - 1], key=lambda card: card.value, reverse=True)
-        plans.append(
-            ReservePlan(player=q, count=j, reserved=frozenset(top[: min(j, len(top))]))
-        )
-    return tuple(plans)
-
-
 class _DrainList:
     """Static sorted values with lazy deletion and leftward path compression.
 
     Values must be unique (single-suit hands guarantee it).  Supports
-    "largest live value strictly below a bound", "largest live value" and
-    "k-th largest live value" in near-logarithmic amortized time.
+    "remove the largest live value strictly below a bound" in
+    near-logarithmic amortized time.
     """
 
     __slots__ = ("vals", "jump")
@@ -143,23 +103,6 @@ class _DrainList:
             return None
         self._delete(i)
         return self.vals[i]
-
-    def max_value(self) -> int | None:
-        i = self._find(len(self.vals) - 1)
-        return None if i < 0 else self.vals[i]
-
-    def kth_from_top(self, k: int) -> int | None:
-        """The k-th largest live value (k >= 1), or None when fewer remain."""
-        i = self._find(len(self.vals) - 1)
-        for _ in range(k - 1):
-            if i < 0:
-                return None
-            i = self._find(i - 1)
-        return None if i < 0 else self.vals[i]
-
-    def remove_value(self, value: int) -> None:
-        i = bisect_left(self.vals, value)
-        self._delete(i)
 
 
 def _require(instance: Instance, allowed: set[InstanceClass], solver_id: str) -> None:
@@ -418,19 +361,17 @@ def solve_exhaustive(
     instance: Instance,
     budget: int | None = None,
     want_witness: bool = True,
-    kernel: str | None = None,
 ) -> SolveReport:
     """Decide any instance by complete search.
 
     ``budget`` caps search nodes (``None`` reads ``CREW_BUDGET``, 0 or unset
     means unlimited); a ``decision`` of ``None`` reports an exhausted budget
-    rather than an answer.  ``kernel`` forces the compiled ("c") or pure
-    ("py") search core.
+    rather than an answer.
     """
     t0 = perf_counter()
     if budget is None:
         budget = _default_budget()
-    status, witness, nodes, used = run_search(instance, budget=budget, kernel=kernel)
+    status, witness, nodes, used = run_search(instance, budget=budget)
     decision: bool | None = {1: True, 0: False, -1: None}[status]
     if not decision:
         witness = None

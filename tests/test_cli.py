@@ -87,6 +87,24 @@ class TestSolve:
         assert entry(["solve", str(bad)]) == 2
         assert "missing field" in capsys.readouterr().err
 
+    def test_deep_json_is_format_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert entry(["solve", str(deep)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "invalid JSON" in lines[0]
+
+    def test_crash_is_error_not_no(self, tmp_path, capsys):
+        # The recursive kernel runs out of stack on a 600-trick deal.
+        from crewsolver.generate import gen_general
+
+        path = tmp_path / "long.json"
+        path.write_text(dumps_instance(gen_general(1200, 2, 2, 0)))
+        assert entry(["solve", str(path), "--budget", "100000"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [lines[0]] and lines[0].startswith("error: RecursionError: ")
+
 
 class TestVerify:
     def test_accepted(self, deal_file, witness_file, capsys):

@@ -1,23 +1,13 @@
-"""Exhaustive-search tests: frozen small positions, kernel parity, budgets."""
+"""Exhaustive-search tests: frozen small positions, budgets, tokens, trump."""
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
-from crewsolver.exhaustive import (
-    HAVE_SPEEDUPS,
-    available_kernels,
-    run_search,
-)
-from crewsolver.generate import GENERATORS, gen_graph
+from crewsolver.exhaustive import run_search
 from crewsolver.model import Card, Instance, Objective, TokenConstraint
-from crewsolver.reduction import reduce_hp, reduce_hp_tokens, reduce_hp_trump
 from crewsolver.solvers import solve_exhaustive
 from crewsolver.verify import verify_sequence
-
-KERNELS = available_kernels()
 
 
 def test_no_objectives_short_circuit(uneven_deal):
@@ -28,10 +18,9 @@ def test_no_objectives_short_circuit(uneven_deal):
     assert nodes == 0 and kernel == "none"
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_known_deal_canonical_line(uneven_deal, kernel):
-    status, witness, nodes, used = run_search(uneven_deal, kernel=kernel)
-    assert status == 1 and used == kernel
+def test_known_deal_canonical_line(uneven_deal):
+    status, witness, nodes, used = run_search(uneven_deal)
+    assert status == 1 and used == "py"
     assert nodes == 8
     first = witness.tricks[0]
     assert [p.card for p in first.plays] == [
@@ -57,60 +46,6 @@ def test_budget_cut(uneven_deal):
 def test_budget_zero_is_unlimited(uneven_deal):
     status, _, _, _ = run_search(uneven_deal, budget=0)
     assert status == 1
-
-
-@pytest.mark.skipif(not HAVE_SPEEDUPS, reason="compiled kernel not built")
-class TestKernelParity:
-    def test_generated_instances(self):
-        cases = []
-        for name, gen in GENERATORS.items():
-            for seed in range(25):
-                try:
-                    cases.append(gen(9, 3, 2, seed))
-                except ValueError:
-                    pass
-        assert len(cases) >= 90
-        for inst in cases:
-            for budget in (0, 7):
-                c = run_search(inst, budget=budget, kernel="c")
-                py = run_search(inst, budget=budget, kernel="py")
-                assert c[:3] == py[:3]
-
-    def test_reduced_instances(self):
-        for seed in range(8):
-            g = gen_graph(4, 0.5, seed)
-            for reduce_fn in (reduce_hp, reduce_hp_trump, reduce_hp_tokens):
-                inst = reduce_fn(g)
-                c = run_search(inst, kernel="c")
-                py = run_search(inst, kernel="py")
-                assert c[:3] == py[:3]
-
-    def test_large_instance_falls_back_to_pure(self):
-        hands = tuple(
-            frozenset(Card(v, q + 1) for v in range(1, 34)) for q in range(2)
-        )
-        big = Instance(
-            players=2,
-            k=33,
-            s=2,
-            hands=hands,
-            objectives=(Objective(Card(1, 1), 1),),
-        )
-        assert big.n == 66
-        _, _, _, used = run_search(big, budget=50)
-        assert used == "py"
-        with pytest.raises(RuntimeError, match="exceeds compiled-kernel"):
-            run_search(big, kernel="c")
-
-    def test_pure_override_env(self, uneven_deal, monkeypatch):
-        monkeypatch.setenv("CREW_PURE", "1")
-        _, _, _, used = run_search(uneven_deal)
-        assert used == "py"
-
-
-def test_unknown_kernel_rejected(uneven_deal):
-    with pytest.raises(ValueError, match="unknown kernel"):
-        run_search(uneven_deal, kernel="fortran")
 
 
 def test_first_lead_freedom_searches_all_leads():

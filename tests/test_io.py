@@ -85,6 +85,14 @@ class TestInstanceErrors:
         with pytest.raises(FormatError, match="invalid JSON"):
             loads_instance("{nope")
 
+    def test_deep_nesting(self):
+        deep = "[" * 100_000
+        with pytest.raises(FormatError, match="invalid JSON"):
+            loads_instance(deep)
+        with pytest.raises(FormatError, match="invalid JSON"):
+            loads_witness(deep)
+        assert instance_meta(deep) is None
+
     def test_not_object(self):
         with pytest.raises(FormatError, match="JSON object"):
             self._load([1, 2])

@@ -13,7 +13,6 @@ from crewsolver.model import Card, Instance, Objective, TokenConstraint
 from crewsolver.solvers import (
     SolverMismatchError,
     _DrainList,
-    compute_reserves,
     solve,
     solve_exhaustive,
     solve_single_suit,
@@ -51,52 +50,9 @@ class TestDrainList:
         assert d.take_below(100) == 9
         assert d.take_below(100) is None
 
-    def test_max_and_kth(self):
-        d = _DrainList([2, 5, 8])
-        assert d.max_value() == 8
-        assert d.kth_from_top(1) == 8
-        assert d.kth_from_top(3) == 2
-        assert d.kth_from_top(4) is None
-        d.remove_value(8)
-        assert d.max_value() == 5
-        assert d.kth_from_top(2) == 2
-
     def test_empty(self):
         d = _DrainList([])
-        assert d.max_value() is None
         assert d.take_below(5) is None
-
-
-class TestComputeReserves:
-    def test_counts_per_single_hand(self):
-        hands = (
-            frozenset({Card(9, 1), Card(7, 1), Card(5, 1), Card(3, 1)}),
-            frozenset({Card(8, 1), Card(6, 1)}),
-            frozenset({Card(4, 1), Card(2, 1)}),
-        )
-        objectives = (
-            Objective(Card(8, 1), 1),
-            Objective(Card(6, 1), 1),
-            Objective(Card(4, 1), 1),
-        )
-        plans = compute_reserves(hands, objectives)
-        # Two of player 1's objective cards sit in hand 2, one in hand 3:
-        # the per-hand maximum is 2, so player 1 reserves their two maxima.
-        assert plans[0].count == 2
-        assert plans[0].reserved == frozenset({Card(9, 1), Card(7, 1)})
-        assert plans[1].count == 0 and plans[1].reserved == frozenset()
-
-    def test_completed_objectives_drop_out(self):
-        hands = (frozenset({Card(9, 1)}), frozenset({Card(8, 1)}))
-        objectives = (Objective(Card(8, 1), 1),)
-        assert compute_reserves(hands, objectives)[0].count == 1
-        relaxed = compute_reserves(hands, objectives, completed=frozenset({0}))
-        assert relaxed[0].count == 0
-
-    def test_own_cards_not_counted(self):
-        hands = (frozenset({Card(9, 1), Card(8, 1)}), frozenset({Card(1, 1)}))
-        objectives = (Objective(Card(8, 1), 1),)
-        assert compute_reserves(hands, objectives)[0].count == 0
 
 
 class TestSingleValue:
