@@ -18,6 +18,17 @@ All pruning is decision-exact and cannot change the first accepting line:
   non-objective card in the same hand (no live or on-table card between),
   the two cards are interchangeable and only the higher is branched.
 
+Inside the kernel, cards are relabelled so that each suit is a run of
+consecutive bits in ascending value; the trick rows are mapped back to the
+caller's indices on return.  Branch order goes by (value, suit), never by
+index, so the relabel leaves the search unchanged.  With that layout the
+collapse test is one bitmask step: the lowest live-or-on-table bit above a
+card in its suit is its successor.  Every player plays exactly one card per
+trick, so at trick depth ``d`` every hand holds its starting size minus ``d``
+cards; the distinct-owner bound and the empty-hand test are arithmetic on
+the smallest starting hand, and the distinct-owner count is cached per
+completed mask.
+
 This module has no dependencies on the rest of the package; the wrapper in
 ``exhaustive`` handles encoding and decoding.
 """
@@ -52,63 +63,77 @@ def search(
     """
     n = len(values)
     l = len(obj_card)
-    full_mask = (1 << n) - 1
+    if l == 0:
+        return (WIN, [], [], 0)
     all_objs = (1 << l) - 1
-    limit = budget if budget > 0 else float("inf")
+    limit = budget if budget > 0 else 1 << 63
+
+    # Internal label i is caller card orig[i]: suits in order, each suit
+    # ascending by value (ties keep the caller's order).
+    orig = sorted(range(n), key=lambda c: (suits[c], values[c]))
+    label = [0] * n
+    for i, c in enumerate(orig):
+        label[c] = i
+    value = [values[c] for c in orig]
+    suit = [suits[c] for c in orig]
+    owner = [owners[c] for c in orig]
 
     hand_mask = [0] * p
-    for c, q in enumerate(owners):
-        hand_mask[q] |= 1 << c
+    for i, q in enumerate(owner):
+        hand_mask[q] |= 1 << i
+    min_size = min((m.bit_count() for m in hand_mask), default=0)
 
-    n_suits = max(suits) + 1 if n else 0
+    n_suits = max(suit) + 1 if n else 0
     suit_mask = [0] * n_suits
-    for c, s in enumerate(suits):
-        suit_mask[s] |= 1 << c
+    for i, s in enumerate(suit):
+        suit_mask[s] |= 1 << i
 
     objidx_of = [-1] * n
+    obj_bit_of = {}
     owner_bit = [0] * l
     for o, c in enumerate(obj_card):
-        objidx_of[c] = o
+        objidx_of[label[c]] = o
+        obj_bit_of[1 << label[c]] = 1 << o
         owner_bit[o] = 1 << obj_owner[o]
+    obj_cards = sum(obj_bit_of)
+    hand_nonobj = [m & ~obj_cards for m in hand_mask]
     has_tokens = any(before) or any(after)
 
-    sorted_desc = [
-        sorted(
+    # Each player's cards in branch order, with what the seat loop reads
+    # about them: (bit, label, objective or -1, its owner or -1, same-suit
+    # bits above, suit, value).
+    cands = []
+    for q in range(p):
+        mine = sorted(
             (c for c in range(n) if owners[c] == q),
             key=lambda c: (values[c], suits[c]),
             reverse=True,
         )
-        for q in range(p)
-    ]
-    suit_order = [
-        sorted((c for c in range(n) if suits[c] == s), key=lambda c: values[c])
-        for s in range(n_suits)
-    ]
-    pos_in_suit = [0] * n
-    for order in suit_order:
-        for i, c in enumerate(order):
-            pos_in_suit[c] = i
+        row = []
+        for c in mine:
+            i = label[c]
+            o = objidx_of[i]
+            row.append(
+                (
+                    1 << i,
+                    i,
+                    o,
+                    obj_owner[o] if o >= 0 else -1,
+                    suit_mask[suit[i]] & ~((2 << i) - 1),
+                    suit[i],
+                    value[i],
+                )
+            )
+        cands.append(tuple(row))
 
-    max_tricks = (min((hand_mask[q].bit_count() for q in range(p)), default=0)) + 1
+    max_tricks = min_size + 1
     trick_cards = [[-1] * p for _ in range(max_tricks)]
     trick_leads = [-1] * max_tricks
 
     failed: set[tuple[int, int, int]] = set()
+    owner_count: dict[int, int] = {}
     nodes = 0
     final_depth = 0
-
-    def suit_successor(c: int, live: int) -> int:
-        order = suit_order[suits[c]]
-        for i in range(pos_in_suit[c] + 1, len(order)):
-            cc = order[i]
-            if (live >> cc) & 1:
-                return cc
-        return -1
-
-    def beats(c: int, best: int) -> bool:
-        if suits[c] == suits[best]:
-            return values[c] > values[best]
-        return trump >= 0 and suits[c] == trump
 
     def cycle_in(s_mask: int) -> bool:
         members = []
@@ -164,69 +189,63 @@ def search(
                 return True
         return cycle_in(s_mask)
 
-    def resolve(rem: int, completed: int, trick_mask: int, best: int, depth: int) -> int:
+    def resolve(rem: int, start: int, completed: int, best: int, depth: int) -> int:
+        # Every objective card on the table belongs to the winner: the seat
+        # loop drops a card of a second owner, and by the last seat every
+        # owner has played, so it drops a trick its owner is not winning.
         nonlocal final_depth
-        winner = owners[best]
         new_completed = completed
-        m = trick_mask
+        m = (start ^ rem) & obj_cards
         while m:
             low = m & -m
-            c = low.bit_length() - 1
+            new_completed |= obj_bit_of[low]
             m ^= low
-            o = objidx_of[c]
-            if o >= 0:
-                if obj_owner[o] != winner:
-                    return LOSS
-                new_completed |= 1 << o
         if has_tokens and new_completed != completed:
             if token_block(completed, new_completed & ~completed):
                 return LOSS
         if new_completed == all_objs:
             final_depth = depth + 1
             return WIN
-        for q in range(p):
-            if not hand_mask[q] & rem:
-                return LOSS
-        return boundary(rem, winner, new_completed, depth + 1)
+        if min_size <= depth + 1:
+            return LOSS
+        return boundary(rem, owner[best], new_completed, depth + 1)
 
     def seat(
         rem: int,
+        start: int,
         lead: int,
         completed: int,
         seat_no: int,
         led_suit: int,
-        trick_mask: int,
         best: int,
         trick_owner: int,
         depth: int,
     ) -> int:
+        # ``start`` is ``rem`` at the lead: the live cards and those on the table.
         nonlocal nodes
         if seat_no == p:
-            return resolve(rem, completed, trick_mask, best, depth)
+            return resolve(rem, start, completed, best, depth)
         player = (lead + seat_no) % p
         cand = hand_mask[player] & rem
         if seat_no > 0:
             follow = cand & suit_mask[led_suit]
             if follow:
                 cand = follow
+            best_suit = suit[best]
+            best_value = value[best]
+        plain = hand_nonobj[player] & rem
         row = trick_cards[depth]
-        for c in sorted_desc[player]:
-            bit = 1 << c
+        for bit, c, o, ow, above, s, v in cands[player]:
             if not cand & bit:
                 continue
-            o = objidx_of[c]
             if o < 0:
-                succ = suit_successor(c, rem | trick_mask)
-                if (
-                    succ >= 0
-                    and (rem >> succ) & 1
-                    and owners[succ] == player
-                    and objidx_of[succ] < 0
-                ):
+                # Equal-card collapse: the lowest bit of ``x`` is the next
+                # card up in the suit that is live or on the table.
+                x = start & above
+                if x & -x & plain:
                     continue
                 new_owner = trick_owner
             else:
-                ow = obj_owner[o]
                 if trick_owner >= 0 and trick_owner != ow:
                     continue
                 new_owner = ow
@@ -235,22 +254,26 @@ def search(
                 return CUT
             if seat_no == 0:
                 new_best = c
-                new_led = suits[c]
+                new_led = s
             else:
                 new_led = led_suit
-                new_best = c if beats(c, best) else best
+                # c beats best: higher in its suit, or a trump on a non-trump.
+                if (v > best_value) if s == best_suit else s == trump:
+                    new_best = c
+                else:
+                    new_best = best
             if new_owner >= 0:
                 owner_seat = (new_owner - lead) % p
-                if owner_seat <= seat_no and owners[new_best] != new_owner:
+                if owner_seat <= seat_no and owner[new_best] != new_owner:
                     continue
             row[seat_no] = c
             res = seat(
                 rem & ~bit,
+                start,
                 lead,
                 completed,
                 seat_no + 1,
                 new_led,
-                trick_mask | bit,
                 new_best,
                 new_owner,
                 depth,
@@ -260,28 +283,27 @@ def search(
         return LOSS
 
     def boundary(rem: int, lead: int, completed: int, depth: int) -> int:
+        count = owner_count.get(completed)
+        if count is None:
+            owners_mask = 0
+            m = all_objs & ~completed
+            while m:
+                low = m & -m
+                owners_mask |= owner_bit[low.bit_length() - 1]
+                m ^= low
+            count = owner_count[completed] = owners_mask.bit_count()
+        if count > min_size - depth:
+            return LOSS
         key = (rem, lead, completed)
         if key in failed:
             return LOSS
-        owners_mask = 0
-        m = all_objs & ~completed
-        while m:
-            low = m & -m
-            owners_mask |= owner_bit[low.bit_length() - 1]
-            m ^= low
-        min_hand = min((hand_mask[q] & rem).bit_count() for q in range(p))
-        if owners_mask.bit_count() > min_hand:
-            failed.add(key)
-            return LOSS
         trick_leads[depth] = lead
-        res = seat(rem, lead, completed, 0, -1, 0, -1, -1, depth)
+        res = seat(rem, rem, lead, completed, 0, -1, -1, -1, depth)
         if res == LOSS:
             failed.add(key)
         return res
 
-    if l == 0:
-        return (WIN, [], [], 0)
-
+    full_mask = (1 << n) - 1
     leads = [first_lead] if first_lead >= 0 else list(range(p))
     for lead in leads:
         res = boundary(full_mask, lead, 0, 0)
@@ -289,7 +311,7 @@ def search(
             return (
                 WIN,
                 trick_leads[:final_depth],
-                [trick_cards[d][:] for d in range(final_depth)],
+                [[orig[i] for i in trick_cards[d]] for d in range(final_depth)],
                 nodes,
             )
         if res == CUT:

@@ -1,8 +1,9 @@
 """Wall-clock benchmark suite.
 
 Informational only — no pass/fail.  Rows that correspond to an acceptance
-time target carry the target for comparison; the exhaustive row reports the
-search kernel's node count and decision beside its time.
+time target carry the target for comparison; the exhaustive row runs a
+general deal that no search decides within its fixed node budget, and
+reports the node count, nodes per second and decision beside its time.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from dataclasses import dataclass
 from statistics import median
 from time import perf_counter
 
-from .generate import gen_graph, gen_single_suit, gen_single_value, gen_ss_owned
+from .generate import gen_general, gen_single_suit, gen_single_value, gen_ss_owned
 from .model import Instance, Objective
-from .reduction import reduce_hp
 from .solvers import (
     solve_exhaustive,
     solve_single_suit,
@@ -106,16 +106,21 @@ def run_suite(quick: bool = False) -> list[BenchRow]:
         )
     )
 
-    graph = gen_graph(5 if quick else 6, 0.4, seed=11)
-    reduced = reduce_hp(graph)
-    report = solve_exhaustive(reduced)
+    # Undecided after 5M nodes, so the search runs out its whole budget and
+    # the row times search nodes rather than call overhead.
+    deal = gen_general(32, 4, 6, seed=0)
+    budget = 20_000 if quick else 200_000
+    reports = []
+    median_s = _clocked(lambda: reports.append(solve_exhaustive(deal, budget=budget)), runs)
+    report = reports[-1]
     rows.append(
         BenchRow(
-            f"exhaustive kernel={report.stats.kernel} reduced |V|={graph.vertices}",
+            f"exhaustive kernel={report.stats.kernel} general n={deal.n} budget={budget}",
             runs,
-            _clocked(lambda: solve_exhaustive(reduced), runs),
+            median_s,
             None,
-            f"nodes={report.stats.nodes} decision={report.decision}",
+            f"nodes={report.stats.nodes} nodes/s={report.stats.nodes / median_s:.0f} "
+            f"decision={report.decision}",
         )
     )
     return rows

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
+from crewsolver import _search_py
 from crewsolver.exhaustive import run_search
+from crewsolver.generate import gen_general, gen_graph
 from crewsolver.model import Card, Instance, Objective, TokenConstraint
+from crewsolver.reduction import reduce_hp, reduce_hp_tokens, reduce_hp_trump
 from crewsolver.solvers import solve_exhaustive
 from crewsolver.verify import verify_sequence
 
@@ -90,3 +94,62 @@ def test_token_instances_searched(uneven_deal):
         uneven_deal, tokens=(TokenConstraint(0, before=frozenset({1})),)
     )
     assert run_search(blocked)[0] == 0
+
+
+# (status, nodes, first trick's cards) as the kernel returned them before its
+# per-node rewrite; the rewrite must reproduce them exactly, cuts included.
+_PINNED = [
+    (lambda: gen_general(24, 4, 6, 0), 10_000, 0, 8123, None),
+    (lambda: gen_general(24, 4, 6, 1), 10_000, -1, 10001, None),
+    (lambda: gen_general(28, 4, 6, 2), 10_000, 1, 503, [(9, 3), (4, 3), (2, 3), (11, 3)]),
+    (lambda: gen_general(28, 4, 6, 3), 10_000, -1, 10001, None),
+    (lambda: gen_general(32, 4, 6, 1), 10_000, 1, 30, [(8, 2), (5, 2), (2, 2), (7, 2)]),
+    (lambda: gen_general(32, 4, 6, 2), 10_000, 0, 7987, None),
+    (lambda: reduce_hp(gen_graph(6, 0.5, 2)), 10_000, 1, 1359,
+     [(3, 1), (1, 1), (4, 9), (2, 1), (3, 11), (4, 2)]),
+    (lambda: reduce_hp_trump(gen_graph(6, 0.5, 2)), 10_000, 1, 5014,
+     [(3, 1), (1, 1), (4, 9), (2, 1), (3, 11), (4, 2)]),
+    (lambda: reduce_hp_tokens(gen_graph(6, 0.5, 2)), 10_000, -1, 10001, None),
+    (lambda: reduce_hp_tokens(gen_graph(5, 0.5, 1)), 0, 0, 51708, None),
+    (lambda: reduce_hp_tokens(gen_graph(5, 0.5, 2)), 0, 1, 4595,
+     [(2, 1), (1, 1), (3, 6), (4, 6), (3, 2), (5, 12)]),
+    (lambda: reduce_hp_trump(gen_graph(5, 0.5, 0)), 0, 0, 18142, None),
+]
+
+
+def test_kernel_outputs_pinned():
+    for row, (make, budget, status, nodes, first) in enumerate(_PINNED):
+        inst = make()
+        got_status, witness, got_nodes, _ = run_search(inst, budget)
+        got_first = [tuple(p.card) for p in witness.tricks[0].plays] if witness else None
+        assert (got_status, got_nodes, got_first) == (status, nodes, first), row
+        if witness is not None:
+            assert verify_sequence(inst, witness).accepted
+
+
+def test_kernel_index_order(uneven_deal, monkeypatch):
+    """Permuting the card indices changes nothing but the indices returned."""
+    calls = []
+    search = _search_py.search
+    monkeypatch.setattr(
+        _search_py, "search", lambda *args: calls.append(args) or search(*args)
+    )
+    rng = random.Random(3)
+    for inst in (uneven_deal, reduce_hp_trump(gen_graph(5, 0.5, 2))):
+        run_search(inst)
+        args = calls.pop()
+        cards = [c for hand in inst.hands for c in sorted(hand)]  # run_search's order
+        status, leads, tricks, nodes = search(*args)
+        assert status == 1
+        named = [[cards[c] for c in row] for row in tricks]
+        for _ in range(5):
+            perm = list(range(len(cards)))  # new index i holds old card perm[i]
+            rng.shuffle(perm)
+            new_of = {old: new for new, old in enumerate(perm)}
+            shuffled = list(args)
+            for k in (1, 2, 3):  # values, suits, owners
+                shuffled[k] = [args[k][old] for old in perm]
+            shuffled[4] = [new_of[c] for c in args[4]]  # obj_card
+            got = search(*shuffled)
+            assert got[0] == status and got[3] == nodes and got[1] == leads
+            assert [[cards[perm[c]] for c in row] for row in got[2]] == named
