@@ -26,8 +26,9 @@ collapse test is one bitmask step: the lowest live-or-on-table bit above a
 card in its suit is its successor.  Every player plays exactly one card per
 trick, so at trick depth ``d`` every hand holds its starting size minus ``d``
 cards; the distinct-owner bound and the empty-hand test are arithmetic on
-the smallest starting hand, and the distinct-owner count is cached per
-completed mask.
+the smallest starting hand, the distinct-owner count is cached per
+completed mask, and the token-block test per (completed, newly completed)
+pair.
 
 This module has no dependencies on the rest of the package; the wrapper in
 ``exhaustive`` handles encoding and decoding.
@@ -132,6 +133,8 @@ def search(
 
     failed: set[tuple[int, int, int]] = set()
     owner_count: dict[int, int] = {}
+    # token_block's answer per (completed, newly completed) pair.
+    blocked: dict[tuple[int, int], bool] = {}
     nodes = 0
     final_depth = 0
 
@@ -201,7 +204,11 @@ def search(
             new_completed |= obj_bit_of[low]
             m ^= low
         if has_tokens and new_completed != completed:
-            if token_block(completed, new_completed & ~completed):
+            key = (completed, new_completed)
+            block = blocked.get(key)
+            if block is None:
+                block = blocked[key] = token_block(completed, new_completed & ~completed)
+            if block:
                 return LOSS
         if new_completed == all_objs:
             final_depth = depth + 1

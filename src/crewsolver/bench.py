@@ -1,9 +1,11 @@
 """Wall-clock benchmark suite.
 
 Informational only — no pass/fail.  Rows that correspond to an acceptance
-time target carry the target for comparison; the exhaustive row runs a
-general deal that no search decides within its fixed node budget, and
-reports the node count, nodes per second and decision beside its time.
+time target carry the target for comparison; the ``loads_instance`` and
+``dumps_witness`` rows time the document I/O around the ss-owned solve,
+which on big polynomial deals costs more than the solve; the exhaustive row
+runs a general deal that no search decides within its fixed node budget,
+and reports the node count, nodes per second and decision beside its time.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from time import perf_counter
 
 from .generate import gen_general, gen_single_suit, gen_single_value, gen_ss_owned
 from .model import Instance, Objective
+from .serialize import dumps_instance, dumps_witness, loads_instance
 from .solvers import (
     solve_exhaustive,
     solve_single_suit,
@@ -81,6 +84,28 @@ def run_suite(quick: bool = False) -> list[BenchRow]:
             _clocked(lambda: solve_single_suit_owned(inst_own), runs),
             None if quick else 2.0,
             "",
+        )
+    )
+
+    text = dumps_instance(inst_own)
+    rows.append(
+        BenchRow(
+            f"loads_instance ss-owned n={inst_own.n}",
+            runs,
+            _clocked(lambda: loads_instance(text), runs),
+            None,
+            f"bytes={len(text)}",
+        )
+    )
+    witness = solve_single_suit_owned(inst_own).witness
+    plays = sum(len(t.plays) for t in witness.tricks)
+    rows.append(
+        BenchRow(
+            f"dumps_witness ss-owned n={inst_own.n}",
+            runs,
+            _clocked(lambda: dumps_witness(witness), runs),
+            None,
+            f"tricks={len(witness.tricks)} plays={plays}",
         )
     )
 

@@ -31,7 +31,7 @@ from .serialize import (
     loads_instance,
     loads_witness,
 )
-from .solvers import SOLVER_IDS, SolverMismatchError, solve
+from .solvers import SOLVER_IDS, SolverMismatchError, solve_classified
 from .verify import verify_sequence
 
 
@@ -69,9 +69,11 @@ def _emit(doc: dict, as_json: bool, text: str) -> None:
 
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
+    cls = classify(instance)
     try:
-        report = solve(
+        report = solve_classified(
             instance,
+            cls,
             force=args.force,
             budget=args.budget,
             want_witness=True,
@@ -88,7 +90,7 @@ def _cmd_solve(args) -> int:
     doc = {
         "decision": report.decision,
         "solver": report.solver_id,
-        "class": classify(instance).value,
+        "class": cls.value,
         "stats": {
             "nodes": stats.nodes,
             "tricks": stats.tricks,

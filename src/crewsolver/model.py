@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Iterator, NamedTuple, Sequence
 
 CompletionRecord = tuple["int | None", ...]
 
@@ -29,6 +31,10 @@ class InstanceError(ValueError):
 
 class PlayError(ValueError):
     """Raised when a trick cannot legally be applied to a state."""
+
+
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class Card(NamedTuple):
@@ -130,9 +136,24 @@ class Instance:
             raise InstanceError(
                 f"expected {self.players} hands, got {len(self.hands)}"
             )
-        seen: set[Card] = set()
-        for hand in self.hands:
-            for card in hand:
+        cards = list(chain.from_iterable(self.hands))
+        seen = set().union(*self.hands)
+        values = list(map(itemgetter(0), cards))
+        suits = list(map(itemgetter(1), cards))
+        if cards and (
+            len(seen) != len(cards)
+            or not set(map(type, values)) | set(map(type, suits)) <= {int}
+            or min(values) < 1
+            or max(values) > self.k
+            or min(suits) < 1
+            or max(suits) > self.s
+        ):
+            # Something is wrong (or merely unusual); walk the cards in
+            # order to name the first offender.
+            seen = set()
+            for card in cards:
+                if not (_is_int(card.value) and _is_int(card.suit)):
+                    raise InstanceError(f"card fields must be integers: {card}")
                 if not (1 <= card.value <= self.k):
                     raise InstanceError(f"card value out of range 1..{self.k}: {card}")
                 if not (1 <= card.suit <= self.s):
@@ -142,6 +163,10 @@ class Instance:
                 seen.add(card)
         targets: set[Card] = set()
         for obj in self.objectives:
+            if not (_is_int(obj.card.value) and _is_int(obj.card.suit)):
+                raise InstanceError(f"card fields must be integers: {obj.card}")
+            if not _is_int(obj.owner):
+                raise InstanceError(f"objective owner must be an integer: {obj.owner!r}")
             if not (1 <= obj.owner <= self.players):
                 raise InstanceError(f"objective owner out of range: {obj.owner}")
             if obj.card in targets:

@@ -17,8 +17,10 @@ Four solvers share one report shape:
   accepts tokens and a trump suit, and the oracle the others are tested
   against.
 
-``solve`` dispatches on :func:`crewsolver.model.classify`; a ``force``
-argument overrides it but still enforces each solver's preconditions.
+``solve`` dispatches on :func:`crewsolver.model.classify`, run once per
+call: it hands the deal to the solvers' unchecked bodies, while the public
+``solve_single_*`` functions classify to check their preconditions.  A
+``force`` argument overrides the dispatch but still enforces them.
 """
 
 from __future__ import annotations
@@ -105,9 +107,17 @@ class _DrainList:
         return self.vals[i]
 
 
-def _require(instance: Instance, allowed: set[InstanceClass], solver_id: str) -> None:
-    cls = classify(instance)
-    if cls not in allowed:
+# The classes each solver decides; ``solve`` may not force one outside them.
+_ACCEPTS = {
+    "single-value": {InstanceClass.SINGLE_VALUE},
+    "ss-owned": {InstanceClass.SINGLE_SUIT_OWNED},
+    "single-suit": {InstanceClass.SINGLE_SUIT, InstanceClass.SINGLE_SUIT_OWNED},
+    "exhaustive": set(InstanceClass),
+}
+
+
+def _require(cls: InstanceClass, solver_id: str) -> None:
+    if cls not in _ACCEPTS[solver_id]:
         raise SolverMismatchError(
             f"solver {solver_id!r} cannot handle a {cls.value!r} instance"
         )
@@ -133,7 +143,11 @@ def solve_single_value(instance: Instance, want_witness: bool = True) -> SolveRe
     no hand holds more objective cards than the shortest hand has tricks to
     give.
     """
-    _require(instance, {InstanceClass.SINGLE_VALUE}, "single-value")
+    _require(classify(instance), "single-value")
+    return _single_value(instance, want_witness)
+
+
+def _single_value(instance: Instance, want_witness: bool) -> SolveReport:
     t0 = perf_counter()
     objs = instance.objectives
     if not objs:
@@ -180,7 +194,11 @@ def solve_single_suit_owned(instance: Instance, want_witness: bool = True) -> So
     strictly below it.  Succeeds iff every such contribution exists, and the
     witness uses exactly one trick per objective.
     """
-    _require(instance, {InstanceClass.SINGLE_SUIT_OWNED}, "ss-owned")
+    _require(classify(instance), "ss-owned")
+    return _single_suit_owned(instance, want_witness)
+
+
+def _single_suit_owned(instance: Instance, want_witness: bool) -> SolveReport:
     t0 = perf_counter()
     objs = sorted(instance.objectives, key=lambda o: o.card.value, reverse=True)
     if not objs:
@@ -256,11 +274,11 @@ def solve_single_suit(instance: Instance, want_witness: bool = True) -> SolveRep
     trick completes at least one objective, so a witness never needs more
     tricks than there are objectives.
     """
-    _require(
-        instance,
-        {InstanceClass.SINGLE_SUIT, InstanceClass.SINGLE_SUIT_OWNED},
-        "single-suit",
-    )
+    _require(classify(instance), "single-suit")
+    return _single_suit(instance, want_witness)
+
+
+def _single_suit(instance: Instance, want_witness: bool) -> SolveReport:
     t0 = perf_counter()
     objs = instance.objectives
     if not objs:
@@ -401,13 +419,26 @@ def solve(
     want_witness: bool = True,
 ) -> SolveReport:
     """Classify and dispatch; ``force`` picks a solver but may not widen it."""
-    solver_id = force or _SOLVER_FOR_CLASS[classify(instance)]
+    return solve_classified(instance, classify(instance), force, budget, want_witness)
+
+
+def solve_classified(
+    instance: Instance,
+    cls: InstanceClass,
+    force: str | None = None,
+    budget: int | None = None,
+    want_witness: bool = True,
+) -> SolveReport:
+    """``solve`` for a caller that already holds ``cls = classify(instance)``,
+    so a big deal is classified once."""
+    solver_id = force or _SOLVER_FOR_CLASS[cls]
+    if solver_id not in _ACCEPTS:
+        raise ValueError(f"unknown solver {force!r}; expected one of {SOLVER_IDS}")
+    _require(cls, solver_id)
     if solver_id == "single-value":
-        return solve_single_value(instance, want_witness)
+        return _single_value(instance, want_witness)
     if solver_id == "ss-owned":
-        return solve_single_suit_owned(instance, want_witness)
+        return _single_suit_owned(instance, want_witness)
     if solver_id == "single-suit":
-        return solve_single_suit(instance, want_witness)
-    if solver_id == "exhaustive":
-        return solve_exhaustive(instance, budget, want_witness)
-    raise ValueError(f"unknown solver {force!r}; expected one of {SOLVER_IDS}")
+        return _single_suit(instance, want_witness)
+    return solve_exhaustive(instance, budget, want_witness)

@@ -106,6 +106,27 @@ class TestSolve:
         assert lines == [lines[0]] and lines[0].startswith("error: RecursionError: ")
 
 
+    def test_classifies_once(self, tmp_path, capsys, monkeypatch):
+        import crewsolver.cli as cli
+        import crewsolver.solvers as solvers
+        from crewsolver.generate import gen_ss_owned
+        from crewsolver.model import classify
+
+        calls = []
+
+        def counting(instance):
+            calls.append(instance)
+            return classify(instance)
+
+        monkeypatch.setattr(cli, "classify", counting)
+        monkeypatch.setattr(solvers, "classify", counting)
+        path = tmp_path / "owned.json"
+        path.write_text(dumps_instance(gen_ss_owned(200, 4, 0, 1)))
+        assert entry(["solve", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["class"] == "ss-owned"
+        assert len(calls) == 1
+
+
 class TestVerify:
     def test_accepted(self, deal_file, witness_file, capsys):
         assert entry(["verify", deal_file, witness_file]) == 0
@@ -247,3 +268,9 @@ class TestBench:
         assert any("exhaustive kernel" in n for n in names)
         for row in rows:
             assert set(row) == {"name", "runs", "median_s", "target_s", "note"}
+
+    def test_quick_serialize_rows(self, capsys):
+        assert entry(["bench", "--quick", "--json"]) == 0
+        rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
+        assert "loads_instance ss-owned n=20000" in rows
+        assert rows["dumps_witness ss-owned n=20000"]["note"] == "tricks=400 plays=3200"

@@ -1,10 +1,12 @@
 """Property-based tests: rules invariants, solver/oracle agreement,
-relabeling invariance, serialization round-trips, token-order semantics."""
+relabeling invariance, serialization round-trips and canonical bytes,
+token-order semantics."""
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,14 @@ from crewsolver.model import (
     trick_winner,
 )
 from crewsolver.model import Play, Trick
+from crewsolver.generate import (
+    gen_general,
+    gen_graph,
+    gen_single_suit,
+    gen_single_value,
+    gen_ss_owned,
+)
+from crewsolver.reduction import reduce_hp, reduce_hp_tokens, reduce_hp_trump
 from crewsolver.serialize import (
     dumps_instance,
     dumps_witness,
@@ -267,6 +277,129 @@ def test_witness_serialization_round_trip(inst):
     if status == 1 and witness.tricks:
         text = dumps_witness(witness)
         assert loads_witness(text) == witness
+
+
+# The dict forms whose ``json.dumps(indent=2) + "\n"`` is the canonical
+# document: the specification the template emitters must match byte for byte.
+
+
+def _card_to_dict(card: Card) -> dict:
+    return {"v": card.value, "s": card.suit}
+
+
+def instance_to_dict(instance: Instance, meta=None) -> dict:
+    doc = {
+        "players": instance.players,
+        "k": instance.k,
+        "s": instance.s,
+        "trump_suit": instance.trump_suit,
+        "lead": instance.first_lead,
+        "hands": [
+            [_card_to_dict(c) for c in sorted(hand, key=lambda c: (c.suit, c.value))]
+            for hand in instance.hands
+        ],
+        "objectives": [
+            {"card": _card_to_dict(o.card), "owner": o.owner}
+            for o in instance.objectives
+        ],
+        "tokens": [
+            {
+                "objective": t.objective,
+                "before": sorted(t.before),
+                "after": sorted(t.after),
+            }
+            for t in instance.tokens
+        ],
+    }
+    if meta is not None:
+        doc["meta"] = meta
+    return doc
+
+
+def witness_to_dict(sequence: PlaySequence) -> dict:
+    return {
+        "lead": sequence.first_lead,
+        "tricks": [
+            [
+                {"player": play.player, "card": _card_to_dict(play.card)}
+                for play in trick.plays
+            ]
+            for trick in sequence.tricks
+        ],
+    }
+
+
+def _assert_canonical_instance(inst: Instance, meta=None) -> None:
+    expected = json.dumps(instance_to_dict(inst, meta), indent=2) + "\n"
+    assert dumps_instance(inst, meta) == expected
+
+
+def _assert_canonical_witness(seq: PlaySequence) -> None:
+    assert dumps_witness(seq) == json.dumps(witness_to_dict(seq), indent=2) + "\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+metas = st.none() | st.dictionaries(st.text(), json_values, max_size=4)
+
+
+@st.composite
+def play_sequences(draw):
+    """Rotation-ordered tricks of arbitrary integer cards (legality aside)."""
+    players = draw(st.integers(1, 4))
+    ints = st.integers(-(10**12), 10**12)
+    tricks = []
+    for _ in range(draw(st.integers(0, 4))):
+        lead = draw(st.integers(1, players))
+        plays = tuple(
+            Play(q, Card(draw(ints), draw(ints))) for q in rotation(lead, players)
+        )
+        tricks.append(Trick(lead=lead, plays=plays))
+    first = tricks[0].lead if tricks else draw(st.integers(1, players))
+    return PlaySequence(first_lead=first, tricks=tuple(tricks))
+
+
+@given(deals(), metas)
+@settings(deadline=None, max_examples=150)
+def test_dumps_instance_is_canonical_json(inst, meta):
+    _assert_canonical_instance(inst, meta)
+
+
+@given(play_sequences())
+@settings(deadline=None, max_examples=150)
+def test_dumps_witness_is_canonical_json(seq):
+    _assert_canonical_witness(seq)
+
+
+@given(deals(max_cards=8))
+@settings(deadline=None, max_examples=60)
+def test_solver_witness_is_canonical_json(inst):
+    report = solve(inst, budget=200_000)
+    if report.witness is not None:
+        _assert_canonical_witness(report.witness)
+
+
+def test_canonical_json_on_generated_and_reduced(uneven_deal, uneven_deal_win):
+    """The fixtures, every generator and every reduction, with the meta
+    blocks ``crew gen`` and ``crew reduce`` write, and their solver lines."""
+    _assert_canonical_instance(uneven_deal)
+    _assert_canonical_witness(uneven_deal_win)
+    _assert_canonical_witness(PlaySequence(first_lead=2))
+    generators = (gen_single_value, gen_ss_owned, gen_single_suit, gen_general)
+    insts = [gen(40, 4, 4, seed) for seed in range(3) for gen in generators]
+    graph = gen_graph(4, 0.6, 1)
+    insts += [reduce_hp(graph), reduce_hp_trump(graph, 1), reduce_hp_tokens(graph)]
+    meta = {"generator": "ss-owned", "seed": 0, "params": {"n": 40, "players": 4}}
+    for inst in insts:
+        _assert_canonical_instance(inst)
+        _assert_canonical_instance(inst, meta)
+        report = solve(inst, budget=20_000)
+        if report.witness is not None:
+            _assert_canonical_witness(report.witness)
 
 
 @st.composite

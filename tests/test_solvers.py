@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from crewsolver.model import Card, Instance, Objective, TokenConstraint
+from crewsolver.model import Card, Instance, Objective, TokenConstraint, classify
 from crewsolver.solvers import (
     SolverMismatchError,
     _DrainList,
@@ -237,3 +237,45 @@ class TestDispatcher:
         report = solve(inst, want_witness=False)
         assert report.decision is True
         assert report.witness is None
+
+    def test_classifies_once(self, monkeypatch, uneven_deal):
+        import crewsolver.solvers as solvers
+
+        calls = []
+
+        def counting(instance):
+            calls.append(instance)
+            return classify(instance)
+
+        monkeypatch.setattr(solvers, "classify", counting)
+        deals = [
+            _ones((1, 2), (3,), objectives=((1, 1),)),
+            _suit1((5, 2), (4, 1), objectives=((5, 1),)),
+            _suit1((9, 1), (5, 2), objectives=((5, 1),)),
+            uneven_deal,
+        ]
+        for inst in deals:
+            calls.clear()
+            solve(inst)
+            assert calls == [inst]
+            calls.clear()
+            solve(inst, force="exhaustive")
+            assert len(calls) <= 1
+
+    def test_forced_mismatch_still_raises(self, uneven_deal):
+        owned = _suit1((5, 2), (4, 1), objectives=((5, 1),))
+        external = _suit1((9, 1), (5, 2), objectives=((5, 1),))
+        ones = _ones((1, 2), (3,), objectives=((1, 1),))
+        for inst, solver_id in [
+            (owned, "single-value"),
+            (external, "ss-owned"),
+            (ones, "single-suit"),
+            (uneven_deal, "ss-owned"),
+        ]:
+            with pytest.raises(SolverMismatchError, match=repr(solver_id)):
+                solve(inst, force=solver_id)
+        with pytest.raises(SolverMismatchError):
+            solve_single_suit_owned(external)
+        with pytest.raises(SolverMismatchError):
+            solve_single_value(owned)
+        assert solve(owned, force="single-suit").decision is True
