@@ -10,22 +10,16 @@ Hamiltonian Path used to exercise the hard direction.
 
 from .model import (
     Card,
-    GameState,
     Instance,
     InstanceClass,
     InstanceError,
-    LossReason,
     Objective,
     Play,
     PlayError,
-    Status,
     TokenConstraint,
     Trick,
-    apply_trick,
     check_tokens,
     classify,
-    initial_state,
-    legal_plays,
     rotation,
     trick_winner,
 )
@@ -70,12 +64,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Card",
     "FormatError",
-    "GameState",
     "Graph",
     "Instance",
     "InstanceClass",
     "InstanceError",
-    "LossReason",
     "Objective",
     "Play",
     "PlayError",
@@ -84,11 +76,9 @@ __all__ = [
     "SolveReport",
     "SolveStats",
     "SolverMismatchError",
-    "Status",
     "TokenConstraint",
     "Trick",
     "Verdict",
-    "apply_trick",
     "check_tokens",
     "classify",
     "dumps_instance",
@@ -100,8 +90,6 @@ __all__ = [
     "gen_single_value",
     "gen_ss_owned",
     "hp_bruteforce",
-    "initial_state",
-    "legal_plays",
     "loads_instance",
     "loads_witness",
     "parse_graph",

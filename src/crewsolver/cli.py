@@ -60,6 +60,18 @@ def _load_instance(path: str):
         raise _CliError(f"{path}: {exc}") from exc
 
 
+def _budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return budget
+
+
 def _emit(doc: dict, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(doc, indent=2))
@@ -243,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="decide an instance file")
     p_solve.add_argument("instance")
     p_solve.add_argument("--force", choices=SOLVER_IDS, help="pick the solver explicitly")
-    p_solve.add_argument("--budget", type=int, default=None, help="node limit for exhaustive search (0 = unlimited)")
+    p_solve.add_argument("--budget", type=_budget, default=None, help="node limit for exhaustive search (0 = unlimited)")
     p_solve.add_argument("--witness-out", help="write the witness here when the decision is true")
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(fn=_cmd_solve)

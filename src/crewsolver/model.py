@@ -22,15 +22,14 @@ from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterator, NamedTuple, Sequence
 
-CompletionRecord = tuple["int | None", ...]
-
 
 class InstanceError(ValueError):
     """Raised when an instance violates a structural invariant."""
 
 
 class PlayError(ValueError):
-    """Raised when a trick cannot legally be applied to a state."""
+    """Raised when a trick or play sequence is malformed: no plays, plays out
+    of rotation order, or a first trick led by someone else."""
 
 
 def _is_int(x: Any) -> bool:
@@ -85,22 +84,6 @@ class Trick:
                     f"plays out of rotation order: seat {seat} is player "
                     f"{play.player}, expected {expected}"
                 )
-
-    @property
-    def cards(self) -> tuple[Card, ...]:
-        return tuple(play.card for play in self.plays)
-
-
-class Status(Enum):
-    IN_PROGRESS = "in-progress"
-    WON = "won"
-    LOST = "lost"
-
-
-class LossReason(Enum):
-    OBJECTIVE_MISROUTED = "objective-misrouted"
-    TOKEN_ORDER_VIOLATED = "token-order-violated"
-    HAND_EMPTY = "hand-empty"
 
 
 class InstanceClass(Enum):
@@ -199,11 +182,6 @@ class Instance:
     def n(self) -> int:
         return sum(len(hand) for hand in self.hands)
 
-    def hand(self, player: int) -> frozenset[Card]:
-        if not (1 <= player <= self.players):
-            raise InstanceError(f"unknown player {player}")
-        return self.hands[player - 1]
-
     def holder_map(self) -> dict[Card, int]:
         """Map every card to the player originally holding it."""
         out: dict[Card, int] = {}
@@ -213,63 +191,10 @@ class Instance:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class GameState:
-    """Immutable snapshot between tricks."""
-
-    instance: Instance
-    hands: tuple[frozenset[Card], ...]
-    completed: CompletionRecord
-    lead: int | None
-    tricks_played: int
-    status: Status
-    loss_reason: LossReason | None = None
-
-
-def initial_state(instance: Instance) -> GameState:
-    """State before the first trick; an objective-free deal is already won."""
-    completed: CompletionRecord = tuple(None for _ in instance.objectives)
-    if not instance.objectives:
-        status = Status.WON
-        reason = None
-    elif any(not hand for hand in instance.hands):
-        status = Status.LOST
-        reason = LossReason.HAND_EMPTY
-    else:
-        status = Status.IN_PROGRESS
-        reason = None
-    return GameState(
-        instance=instance,
-        hands=instance.hands,
-        completed=completed,
-        lead=instance.first_lead,
-        tricks_played=0,
-        status=status,
-        loss_reason=reason,
-    )
-
-
 def rotation(lead: int, players: int) -> Iterator[int]:
     """Yield player indices in play order for a trick led by ``lead``."""
     for seat in range(players):
         yield ((lead - 1 + seat) % players) + 1
-
-
-def legal_plays(state: GameState, player: int, led: Card | None) -> frozenset[Card]:
-    """Cards ``player`` may play given the led card (``None`` when leading).
-
-    Followers must play the led suit when they hold it and may otherwise play
-    anything — trump included; trump gets no special legality treatment.
-    """
-    if not (1 <= player <= state.instance.players):
-        raise PlayError(f"unknown player {player}")
-    hand = state.hands[player - 1]
-    if not hand:
-        raise PlayError(f"player {player} has no cards")
-    if led is None:
-        return frozenset(hand)
-    same_suit = frozenset(card for card in hand if card.suit == led.suit)
-    return same_suit or frozenset(hand)
 
 
 def trick_winner(trick: Trick, trump_suit: int | None) -> int:
@@ -282,71 +207,6 @@ def trick_winner(trick: Trick, trump_suit: int | None) -> int:
     led_suit = trick.plays[0].card.suit
     followers = [play for play in trick.plays if play.card.suit == led_suit]
     return max(followers, key=lambda play: play.card.value).player
-
-
-def apply_trick(state: GameState, trick: Trick) -> GameState:
-    """Play one full trick; returns the successor state.
-
-    Raises :class:`PlayError` on structural illegality (wrong leader, card
-    not held, suit not followed).  Game-semantic outcomes — a misrouted
-    objective, a token ordering made impossible, all objectives done, a hand
-    emptied with objectives open — land in ``status``/``loss_reason``.
-    """
-    inst = state.instance
-    if state.status is not Status.IN_PROGRESS:
-        raise PlayError(f"game is over ({state.status.value})")
-    if len(trick.plays) != inst.players:
-        raise PlayError(
-            f"trick has {len(trick.plays)} plays for {inst.players} players"
-        )
-    if state.lead is not None and trick.lead != state.lead:
-        raise PlayError(f"trick led by {trick.lead}, expected {state.lead}")
-
-    led = trick.plays[0].card
-    for seat, play in enumerate(trick.plays):
-        hand = state.hands[play.player - 1]
-        if play.card not in hand:
-            raise PlayError(f"player {play.player} does not hold {play.card}")
-        if seat > 0 and play.card.suit != led.suit:
-            if any(card.suit == led.suit for card in hand):
-                raise PlayError(
-                    f"player {play.player} must follow suit {led.suit}"
-                )
-
-    winner = trick_winner(trick, inst.trump_suit)
-    trick_cards = set(trick.cards)
-    hands = tuple(hand - trick_cards for hand in state.hands)
-
-    completed = list(state.completed)
-    misrouted = False
-    for idx, obj in enumerate(inst.objectives):
-        if obj.card in trick_cards:
-            if winner == obj.owner:
-                completed[idx] = state.tricks_played
-            else:
-                misrouted = True
-    record = tuple(completed)
-
-    status = Status.IN_PROGRESS
-    reason: LossReason | None = None
-    if misrouted:
-        status, reason = Status.LOST, LossReason.OBJECTIVE_MISROUTED
-    elif tokens_violated(record, inst.tokens):
-        status, reason = Status.LOST, LossReason.TOKEN_ORDER_VIOLATED
-    elif all(t is not None for t in record) and check_tokens(record, inst.tokens):
-        status = Status.WON
-    elif any(not hand for hand in hands):
-        status, reason = Status.LOST, LossReason.HAND_EMPTY
-
-    return GameState(
-        instance=inst,
-        hands=hands,
-        completed=record,
-        lead=winner,
-        tricks_played=state.tricks_played + 1,
-        status=status,
-        loss_reason=reason,
-    )
 
 
 def _same_trick_consistent(

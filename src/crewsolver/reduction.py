@@ -51,9 +51,6 @@ class Graph:
         normal = frozenset((min(u, v), max(u, v)) for u, v in edges)
         return Graph(vertices, normal)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbours of ``v`` in ascending vertex order."""
         out = []

@@ -3,9 +3,9 @@
 Instance documents carry ``players``, ``k``, ``s``, ``trump_suit``, ``lead``,
 ``hands`` (cards as ``{"v": value, "s": suit}``), ``objectives`` and
 ``tokens`` (0-based objective indices), plus an optional ``meta`` block that
-round-trips untouched.  Witness documents carry the opening ``lead`` and the
-tricks as rotation-ordered play lists; later leads are implied by the rules
-and re-derived on load.
+the dump writes and the load ignores.  Witness documents carry the opening
+``lead`` and the tricks as rotation-ordered play lists; later leads are
+implied by the rules and re-derived on load.
 
 Dumps are canonical — hands sorted by suit then value, two-space indent —
 so identical inputs serialize byte-identically.  The canonical text of a
@@ -149,8 +149,11 @@ def dict_to_instance(doc: Any) -> Instance:
                     _expect_int(o["owner"], f"objectives[{i}].owner"),
                 )
             )
+    tokens_doc = doc.get("tokens", [])
+    if not isinstance(tokens_doc, list):
+        raise FormatError("'tokens' must be an array")
     tokens = []
-    for i, t in enumerate(doc.get("tokens", [])):
+    for i, t in enumerate(tokens_doc):
         if not isinstance(t, dict) or set(t) != {"objective", "before", "after"}:
             raise FormatError(
                 f"tokens[{i}]: expected {{'objective', 'before', 'after'}}"
@@ -232,17 +235,6 @@ def _parse_json(text: str) -> Any:
 
 def loads_instance(text: str) -> Instance:
     return dict_to_instance(_parse_json(text))
-
-
-def instance_meta(text: str) -> dict | None:
-    """The optional ``meta`` block of an instance document, if present."""
-    try:
-        doc = _parse_json(text)
-    except FormatError:
-        return None
-    if isinstance(doc, dict) and isinstance(doc.get("meta"), dict):
-        return doc["meta"]
-    return None
 
 
 def _trick(t: int, plays: tuple[Play, ...]) -> Trick:

@@ -7,7 +7,12 @@ Four solvers share one report shape:
 * ``solve_single_suit_owned`` — one suit, every objective card starts in its
   owner's hand; objectives are played highest-first while everyone else
   slots in their best card strictly below, which needs exactly one trick per
-  objective.
+  objective.  These are the single-suit deals with nothing to feed, so this
+  runs the single-suit scheduler under the ``"ss-owned"`` label: with no
+  externally held objective card it plans no extra tricks, each owner wins
+  one trick per objective with that card as the threshold, and playing the
+  thresholds from the highest down, every other seat discarding its largest
+  card below, is exactly the highest-first procedure.
 * ``solve_single_suit`` — one suit, objective cards may start anywhere; the
   owner wins each target trick (playing the target itself when held,
   otherwise their highest card over the holder's feed), other holders feed,
@@ -28,6 +33,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from time import perf_counter
 
 from .exhaustive import run_search
@@ -41,6 +47,9 @@ from .model import (
     rotation,
 )
 from .verify import PlaySequence
+
+
+_VALUE = itemgetter(0)
 
 
 class SolverMismatchError(ValueError):
@@ -192,49 +201,11 @@ def solve_single_suit_owned(instance: Instance, want_witness: bool = True) -> So
     Objectives are taken highest-first: the owner plays the objective card
     and every other player contributes their best non-objective card
     strictly below it.  Succeeds iff every such contribution exists, and the
-    witness uses exactly one trick per objective.
+    witness uses exactly one trick per objective.  This is the single-suit
+    scheduler with nothing to feed, and it runs as that.
     """
     _require(classify(instance), "ss-owned")
-    return _single_suit_owned(instance, want_witness)
-
-
-def _single_suit_owned(instance: Instance, want_witness: bool) -> SolveReport:
-    t0 = perf_counter()
-    objs = sorted(instance.objectives, key=lambda o: o.card.value, reverse=True)
-    if not objs:
-        return _empty_win(instance, "ss-owned", t0)
-
-    suit = objs[0].card.suit
-    target_values = {o.card.value for o in objs}
-    pool = [
-        _DrainList(
-            card.value for card in hand if card.value not in target_values
-        )
-        for hand in instance.hands
-    ]
-
-    lead = instance.first_lead or objs[0].owner
-    tricks: list[Trick] = []
-    for idx, obj in enumerate(objs):
-        plays = {obj.owner: obj.card}
-        for q in range(1, instance.players + 1):
-            if q == obj.owner:
-                continue
-            below = pool[q - 1].take_below(obj.card.value)
-            if below is None:
-                return _no("ss-owned", t0, tricks=idx)
-            plays[q] = Card(below, suit)
-        tricks.append(
-            Trick(
-                lead=lead,
-                plays=tuple(Play(q, plays[q]) for q in rotation(lead, instance.players)),
-            )
-        )
-        lead = obj.owner
-
-    witness = PlaySequence(tricks[0].lead, tuple(tricks)) if want_witness else None
-    stats = SolveStats(tricks=len(objs), elapsed=perf_counter() - t0)
-    return SolveReport(True, witness, "ss-owned", stats)
+    return _single_suit(instance, want_witness, "ss-owned")
 
 
 def _feeds_fit(thresholds_asc: list[int], holder_vals: dict[int, list[int]]) -> bool:
@@ -275,31 +246,31 @@ def solve_single_suit(instance: Instance, want_witness: bool = True) -> SolveRep
     tricks than there are objectives.
     """
     _require(classify(instance), "single-suit")
-    return _single_suit(instance, want_witness)
+    return _single_suit(instance, want_witness, "single-suit")
 
 
-def _single_suit(instance: Instance, want_witness: bool) -> SolveReport:
+def _single_suit(instance: Instance, want_witness: bool, solver_id: str) -> SolveReport:
     t0 = perf_counter()
     objs = instance.objectives
     if not objs:
-        return _empty_win(instance, "single-suit", t0)
+        return _empty_win(instance, solver_id, t0)
 
     suit = objs[0].card.suit
-    holder_map = instance.holder_map()
-    target_values = {o.card.value for o in objs}
+    targets = {o.card for o in objs}
+    # Only objective cards need a holder; ``targets & hand`` walks the
+    # smaller set, so this costs O(objectives) per hand, not O(cards).
+    holder = {c: q for q, hand in enumerate(instance.hands, 1) for c in targets & hand}
     self_vals: dict[int, list[int]] = {}
     ext_vals: dict[int, dict[int, list[int]]] = {}
     for o in objs:
-        h = holder_map[o.card]
+        h = holder[o.card]
         if h == o.owner:
             self_vals.setdefault(o.owner, []).append(o.card.value)
         else:
             ext_vals.setdefault(o.owner, {}).setdefault(h, []).append(o.card.value)
+    # One suit, so a hand's non-objective cards are its cards minus targets.
     junk = {
-        q: sorted(
-            (c.value for c in instance.hands[q - 1] if c.value not in target_values),
-            reverse=True,
-        )
+        q: sorted(map(_VALUE, instance.hands[q - 1] - targets), reverse=True)
         for q in range(1, instance.players + 1)
     }
 
@@ -314,7 +285,7 @@ def _single_suit(instance: Instance, want_witness: bool) -> SolveReport:
         if holders:
             lo, hi = 0, len(spare)
             if not _feeds_fit(sorted(selfs + spare[:hi]), holders):
-                return _no("single-suit", t0)
+                return _no(solver_id, t0)
             while lo < hi:
                 mid = (lo + hi) // 2
                 if _feeds_fit(sorted(selfs + spare[:mid]), holders):
@@ -338,7 +309,8 @@ def _single_suit(instance: Instance, want_witness: bool) -> SolveReport:
     # Play the plan from the highest threshold down; everyone not winning or
     # feeding discards their largest fitting card.
     planned.sort(key=lambda trick: trick[0], reverse=True)
-    pools = {q: _DrainList(vals) for q, vals in junk.items()}
+    # Popping frees each hand's junk list once its pool holds a sorted copy.
+    pools = {q: _DrainList(junk.pop(q)) for q in range(1, instance.players + 1)}
     tricks: list[Trick] = []
     lead = instance.first_lead or planned[0][1]
     for threshold, owner, trick_feeds in planned:
@@ -350,7 +322,7 @@ def _single_suit(instance: Instance, want_witness: bool) -> SolveReport:
                 continue
             below = pools[q].take_below(threshold)
             if below is None:
-                return _no("single-suit", t0, tricks=len(tricks))
+                return _no(solver_id, t0, tricks=len(tricks))
             plays[q] = Card(below, suit)
         tricks.append(
             Trick(
@@ -364,15 +336,21 @@ def _single_suit(instance: Instance, want_witness: bool) -> SolveReport:
 
     witness = PlaySequence(tricks[0].lead, tuple(tricks)) if want_witness else None
     stats = SolveStats(tricks=len(tricks), elapsed=perf_counter() - t0)
-    return SolveReport(True, witness, "single-suit", stats)
+    return SolveReport(True, witness, solver_id, stats)
 
 
 def _default_budget() -> int:
+    """``CREW_BUDGET`` as a node budget; unset or empty means 0 (unlimited)."""
     raw = os.environ.get("CREW_BUDGET", "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
+    if not raw:
         return 0
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"CREW_BUDGET must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 def solve_exhaustive(
@@ -383,12 +361,15 @@ def solve_exhaustive(
     """Decide any instance by complete search.
 
     ``budget`` caps search nodes (``None`` reads ``CREW_BUDGET``, 0 or unset
-    means unlimited); a ``decision`` of ``None`` reports an exhausted budget
-    rather than an answer.
+    means unlimited, a negative budget raises ``ValueError``); a
+    ``decision`` of ``None`` reports an exhausted budget rather than an
+    answer.
     """
     t0 = perf_counter()
     if budget is None:
         budget = _default_budget()
+    elif budget < 0:
+        raise ValueError(f"budget must be a non-negative integer, got {budget}")
     status, witness, nodes, used = run_search(instance, budget=budget)
     decision: bool | None = {1: True, 0: False, -1: None}[status]
     if not decision:
@@ -437,8 +418,6 @@ def solve_classified(
     _require(cls, solver_id)
     if solver_id == "single-value":
         return _single_value(instance, want_witness)
-    if solver_id == "ss-owned":
-        return _single_suit_owned(instance, want_witness)
-    if solver_id == "single-suit":
-        return _single_suit(instance, want_witness)
+    if solver_id in ("ss-owned", "single-suit"):
+        return _single_suit(instance, want_witness, solver_id)
     return solve_exhaustive(instance, budget, want_witness)

@@ -13,7 +13,6 @@ from enum import Enum
 
 from .model import (
     Instance,
-    LossReason,
     PlayError,
     Trick,
     check_tokens,
@@ -57,19 +56,8 @@ class Verdict:
     detail: str = ""
 
 
-_LOSS_REASONS = {
-    LossReason.OBJECTIVE_MISROUTED: Reason.OBJECTIVE_MISROUTED,
-    LossReason.TOKEN_ORDER_VIOLATED: Reason.TOKEN_ORDER_VIOLATED,
-    LossReason.HAND_EMPTY: Reason.HAND_EMPTY_EARLY,
-}
-
-
 def _reject(reason: Reason, index: int | None, detail: str) -> Verdict:
     return Verdict(accepted=False, reason=reason, trick_index=index, detail=detail)
-
-
-def _loss(reason: LossReason, index: int) -> Verdict:
-    return _reject(_LOSS_REASONS[reason], index, f"loss: {reason.value}")
 
 
 def verify_sequence(instance: Instance, sequence: PlaySequence) -> Verdict:
@@ -159,13 +147,17 @@ def verify_sequence(instance: Instance, sequence: PlaySequence) -> Verdict:
         expected = winner
 
         if misrouted:
-            return _loss(LossReason.OBJECTIVE_MISROUTED, index)
+            return _reject(
+                Reason.OBJECTIVE_MISROUTED, index, "loss: objective-misrouted"
+            )
         if tokens_violated(completed, inst.tokens):
-            return _loss(LossReason.TOKEN_ORDER_VIOLATED, index)
+            return _reject(
+                Reason.TOKEN_ORDER_VIOLATED, index, "loss: token-order-violated"
+            )
         if open_count == 0 and check_tokens(completed, inst.tokens):
             won = True
         elif any(not hand for hand in hands):
-            return _loss(LossReason.HAND_EMPTY, index)
+            return _reject(Reason.HAND_EMPTY_EARLY, index, "loss: hand-empty")
 
     if not won:
         return _reject(

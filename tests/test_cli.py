@@ -58,6 +58,19 @@ class TestSolve:
         monkeypatch.setenv("CREW_BUDGET", "0")
         assert entry(["solve", deal_file]) == 0
 
+    def test_bad_budget_is_error(self, deal_file, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            entry(["solve", deal_file, "--budget", "-5"])
+        assert exc.value.code == 2
+        assert "--budget: must be a non-negative integer" in capsys.readouterr().err
+        for raw in ("abc", "-5"):
+            monkeypatch.setenv("CREW_BUDGET", raw)
+            assert entry(["solve", deal_file]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert lines == [f"error: CREW_BUDGET must be a non-negative integer, got {raw!r}"]
+        monkeypatch.setenv("CREW_BUDGET", "")
+        assert entry(["solve", deal_file]) == 0
+
     def test_witness_out_verifies(self, deal_file, tmp_path, capsys):
         out = tmp_path / "witness.json"
         assert entry(["solve", deal_file, "--witness-out", str(out)]) == 0

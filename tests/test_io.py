@@ -19,7 +19,6 @@ from crewsolver.serialize import (
     FormatError,
     dumps_instance,
     dumps_witness,
-    instance_meta,
     loads_instance,
     loads_witness,
 )
@@ -65,10 +64,9 @@ class TestInstanceRoundTrip:
     def test_meta_round_trip(self, rich_instance):
         meta = {"generator": "demo", "seed": 7}
         text = dumps_instance(rich_instance, meta=meta)
-        assert instance_meta(text) == meta
+        assert json.loads(text)["meta"] == meta
         assert loads_instance(text) == rich_instance
-        assert instance_meta(dumps_instance(rich_instance)) is None
-        assert instance_meta("not json") is None
+        assert "meta" not in json.loads(dumps_instance(rich_instance))
 
     def test_optional_fields_null(self):
         inst = Instance(players=1, k=1, s=1, hands=(frozenset({Card(1, 1)}),))
@@ -100,7 +98,6 @@ class TestInstanceErrors:
             loads_instance(deep)
         with pytest.raises(FormatError, match="invalid JSON"):
             loads_witness(deep)
-        assert instance_meta(deep) is None
 
     def test_not_object(self):
         with pytest.raises(FormatError, match="JSON object"):
@@ -157,6 +154,13 @@ class TestInstanceErrors:
         doc["tokens"] = [{"objective": 0, "before": 1, "after": []}]
         with pytest.raises(FormatError, match="expected an array"):
             self._load(doc)
+
+    def test_tokens_not_array(self):
+        doc = self._base_doc()
+        for bad in (None, 5, "0", {"objective": 0}):
+            doc["tokens"] = bad
+            with pytest.raises(FormatError, match="'tokens' must be an array"):
+                self._load(doc)
 
     def test_semantic_errors_bubble_as_instance_errors(self):
         from crewsolver.model import InstanceError

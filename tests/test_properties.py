@@ -14,14 +14,9 @@ from crewsolver.exhaustive import run_search
 from crewsolver.model import (
     Card,
     Instance,
-    LossReason,
     Objective,
-    Status,
     TokenConstraint,
     _same_trick_consistent,
-    apply_trick,
-    initial_state,
-    legal_plays,
     rotation,
     trick_winner,
 )
@@ -42,6 +37,15 @@ from crewsolver.serialize import (
 )
 from crewsolver.solvers import solve, solve_single_suit
 from crewsolver.verify import PlaySequence, Reason, verify_sequence
+from trick_replay import (
+    HAND_EMPTY,
+    MISROUTED,
+    TOKEN_ORDER,
+    WON,
+    apply_trick,
+    initial_state,
+    legal_plays,
+)
 
 
 @st.composite
@@ -130,7 +134,7 @@ def single_suit_deals(draw):
 def test_random_playout_preserves_invariants(inst, rnd):
     state = initial_state(inst)
     seen_completed = list(state.completed)
-    while state.status is Status.IN_PROGRESS:
+    while state.outcome is None:
         lead = state.lead or rnd.choice(range(1, inst.players + 1))
         plays = []
         led_card = None
@@ -150,17 +154,17 @@ def test_random_playout_preserves_invariants(inst, rnd):
             if seen_completed[idx] is not None:
                 assert t == seen_completed[idx]  # completions never undo
         seen_completed = list(state.completed)
-    assert state.status in (Status.WON, Status.LOST)
+    assert state.outcome in (WON, MISROUTED, TOKEN_ORDER, HAND_EMPTY)
 
 
 @given(deals(), st.randoms(use_true_random=False))
 @settings(deadline=None)
 def test_verifier_agrees_with_trick_replay(inst, rnd):
     """The verifier's own replay must reach the same verdict as chaining
-    apply_trick over the identical line."""
+    the test-side apply_trick over the identical line."""
     state = initial_state(inst)
     tricks = []
-    while state.status is Status.IN_PROGRESS:
+    while state.outcome is None:
         lead = state.lead or rnd.choice(range(1, inst.players + 1))
         plays = []
         led_card = None
@@ -177,17 +181,18 @@ def test_verifier_agrees_with_trick_replay(inst, rnd):
     verdict = verify_sequence(
         inst, PlaySequence(first_lead=tricks[0].lead, tricks=tuple(tricks))
     )
-    if state.status is Status.WON:
+    if state.outcome == WON:
         assert verdict.accepted
     else:
         expected = {
-            LossReason.OBJECTIVE_MISROUTED: Reason.OBJECTIVE_MISROUTED,
-            LossReason.TOKEN_ORDER_VIOLATED: Reason.TOKEN_ORDER_VIOLATED,
-            LossReason.HAND_EMPTY: Reason.HAND_EMPTY_EARLY,
-        }[state.loss_reason]
+            MISROUTED: Reason.OBJECTIVE_MISROUTED,
+            TOKEN_ORDER: Reason.TOKEN_ORDER_VIOLATED,
+            HAND_EMPTY: Reason.HAND_EMPTY_EARLY,
+        }[state.outcome]
         assert not verdict.accepted
         assert verdict.reason is expected
         assert verdict.trick_index == len(tricks) - 1
+        assert verdict.detail == f"loss: {state.outcome}"
 
 
 @given(deals(max_players=3, max_cards=8))

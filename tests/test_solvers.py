@@ -9,7 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from crewsolver.model import Card, Instance, Objective, TokenConstraint, classify
+from crewsolver.generate import gen_single_suit, gen_ss_owned
+from crewsolver.model import (
+    Card,
+    Instance,
+    InstanceClass,
+    Objective,
+    TokenConstraint,
+    classify,
+)
 from crewsolver.solvers import (
     SolverMismatchError,
     _DrainList,
@@ -192,6 +200,48 @@ class TestSingleSuit:
             solve_single_suit(uneven_deal)
 
 
+# (decision, stats.tricks, first trick's cards, trick count) as the separate
+# ss-owned procedure and the scheduler returned them before ss-owned deals
+# ran through the scheduler; the merged code must reproduce them exactly.
+_ONE_SUIT_PINNED = [
+    (lambda: gen_ss_owned(12, 2, 4, 8), True, 4, [(12, 1), (8, 1)], 4),
+    (lambda: gen_ss_owned(40, 4, 3, 0), True, 3, [(31, 1), (25, 1), (27, 1), (28, 1)], 3),
+    (lambda: gen_ss_owned(40, 4, 3, 10), True, 3, [(33, 1), (34, 1), (31, 1), (23, 1)], 3),
+    (lambda: gen_ss_owned(60, 3, 4, 10), True, 4, [(60, 1), (59, 1), (56, 1)], 4),
+    (lambda: gen_ss_owned(30, 3, 8, 5), False, 6, None, None),
+    (lambda: gen_ss_owned(24, 4, 5, 2), False, 3, None, None),
+    (lambda: gen_single_suit(24, 4, 5, 1), True, 4, [(15, 1), (17, 1), (23, 1), (7, 1)], 4),
+    (lambda: gen_single_suit(24, 4, 5, 2), True, 5, [(24, 1), (13, 1), (16, 1), (14, 1)], 5),
+    (lambda: gen_single_suit(20, 3, 3, 6), True, 2, [(3, 1), (15, 1), (20, 1)], 2),
+    (lambda: gen_single_suit(20, 3, 3, 7), False, 2, None, None),
+    (lambda: gen_single_suit(16, 3, 2, 10), False, 1, None, None),
+    (lambda: gen_single_suit(24, 4, 5, 0), False, 0, None, None),
+]
+
+
+def test_one_suit_outputs_pinned():
+    for row, (make, decision, tricks, first, count) in enumerate(_ONE_SUIT_PINNED):
+        inst = make()
+        if classify(inst) is InstanceClass.SINGLE_SUIT_OWNED:
+            solver_id = "ss-owned"
+            reports = [
+                solve(inst),
+                solve(inst, force="ss-owned"),
+                solve_single_suit_owned(inst),
+            ]
+        else:
+            solver_id = "single-suit"
+            reports = [solve(inst), solve_single_suit(inst)]
+        for report in reports:
+            witness = report.witness
+            got_first = [tuple(p.card) for p in witness.tricks[0].plays] if witness else None
+            got = (report.solver_id, report.decision, report.stats.tricks, got_first)
+            assert got == (solver_id, decision, tricks, first), row
+            assert (len(witness.tricks) if witness else None) == count, row
+            if witness is not None:
+                assert verify_sequence(inst, witness).accepted
+
+
 class TestDispatcher:
     def test_routes_by_class(self, uneven_deal):
         assert solve(_ones((1, 2), (3,))).solver_id == "single-value"
@@ -231,6 +281,16 @@ class TestDispatcher:
         report = solve(uneven_deal, force="exhaustive", budget=1)
         assert report.decision is None
         assert report.witness is None
+
+    def test_bad_budget_rejected(self, uneven_deal, monkeypatch):
+        with pytest.raises(ValueError, match="non-negative"):
+            solve_exhaustive(uneven_deal, budget=-1)
+        for raw in ("abc", "-5", "1.5"):
+            monkeypatch.setenv("CREW_BUDGET", raw)
+            with pytest.raises(ValueError, match="CREW_BUDGET"):
+                solve_exhaustive(uneven_deal)
+        monkeypatch.setenv("CREW_BUDGET", "")
+        assert solve_exhaustive(uneven_deal).decision is True
 
     def test_want_witness_false(self):
         inst = _suit1((5, 2), (4, 1), objectives=((5, 1),))
