@@ -18,7 +18,6 @@ from .model import (
     PlayError,
     TokenConstraint,
     Trick,
-    check_tokens,
     classify,
     rotation,
     trick_winner,
@@ -79,7 +78,6 @@ __all__ = [
     "TokenConstraint",
     "Trick",
     "Verdict",
-    "check_tokens",
     "classify",
     "dumps_instance",
     "dumps_witness",

@@ -193,7 +193,10 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.what == "graph":
-        graph = gen_graph(args.vertices, args.edge_prob, args.seed)
+        try:
+            graph = gen_graph(args.vertices, args.edge_prob, args.seed)
+        except ValueError as exc:
+            raise _CliError(str(exc)) from exc
         text = format_graph(graph)
     else:
         gen = GENERATORS[args.what]

@@ -12,6 +12,10 @@ remain open.
 
 Players and suits are 1-based throughout; objective indices (used by tokens)
 are 0-based positions into ``Instance.objectives``.
+
+This module holds the deal's types, their validation, the trick-winner
+rule and the structural classifier.  The rules of play (follow suit,
+routing, token order) are checked by ``verify.py``, trick by trick.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple
 
 
 class InstanceError(ValueError):
@@ -207,110 +211,6 @@ def trick_winner(trick: Trick, trump_suit: int | None) -> int:
     led_suit = trick.plays[0].card.suit
     followers = [play for play in trick.plays if play.card.suit == led_suit]
     return max(followers, key=lambda play: play.card.value).player
-
-
-def _same_trick_consistent(
-    completed: Sequence[int | None], tokens: Sequence[TokenConstraint]
-) -> bool:
-    """True when objectives sharing a trick admit an order satisfying every
-    same-trick token constraint (i.e. the constraint subgraph is acyclic).
-    Objectives no token mentions cannot carry an edge, so only the referenced
-    ones are grouped."""
-    if not tokens:
-        return True
-    scope: set[int] = set()
-    for tok in tokens:
-        scope.add(tok.objective)
-        scope.update(tok.before)
-        scope.update(tok.after)
-    by_trick: dict[int, set[int]] = {}
-    for idx in scope:
-        t = completed[idx]
-        if t is not None:
-            by_trick.setdefault(t, set()).add(idx)
-    for group in by_trick.values():
-        if len(group) < 2:
-            continue
-        edges: dict[int, set[int]] = {idx: set() for idx in group}
-        for tok in tokens:
-            if tok.objective not in group:
-                continue
-            for b in tok.before & group:
-                edges[b].add(tok.objective)
-            for a in tok.after & group:
-                edges[tok.objective].add(a)
-        # Kahn's algorithm: a leftover node means a cycle.
-        indeg = {idx: 0 for idx in group}
-        for src in group:
-            for dst in edges[src]:
-                indeg[dst] += 1
-        queue = [idx for idx in group if indeg[idx] == 0]
-        seen = 0
-        while queue:
-            node = queue.pop()
-            seen += 1
-            for dst in edges[node]:
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    queue.append(dst)
-        if seen != len(group):
-            return False
-    return True
-
-
-def check_tokens(
-    completed: Sequence[int | None], tokens: Sequence[TokenConstraint]
-) -> bool:
-    """Evaluate token constraints against a completion record.
-
-    Every before-objective must carry a completion index no later than the
-    token's objective, every completed after-objective one no earlier, and
-    same-trick completions must admit a consistent order.  An incomplete
-    before-objective fails the check outright — records with incomplete
-    referenced objectives are non-final, and finality is the caller's
-    concern.
-    """
-    for tok in tokens:
-        own = completed[tok.objective]
-        for b in tok.before:
-            other = completed[b]
-            if other is None:
-                return False
-            if own is not None and other > own:
-                return False
-        for a in tok.after:
-            other = completed[a]
-            if own is not None and other is not None and other < own:
-                return False
-    return _same_trick_consistent(completed, tokens)
-
-
-def tokens_violated(
-    completed: Sequence[int | None], tokens: Sequence[TokenConstraint]
-) -> bool:
-    """True when a token ordering has become impossible to satisfy.
-
-    Unlike :func:`check_tokens` this treats incomplete objectives as
-    completing in some strictly later trick, so it only fires on
-    irrecoverable records: once true it stays true, and on records with
-    every objective complete it agrees with ``not check_tokens``.
-    """
-    for tok in tokens:
-        own = completed[tok.objective]
-        if own is not None:
-            for b in tok.before:
-                other = completed[b]
-                if other is None or other > own:
-                    return True
-            for a in tok.after:
-                other = completed[a]
-                if other is not None and other < own:
-                    return True
-        else:
-            for a in tok.after:
-                if completed[a] is not None:
-                    return True
-    return not _same_trick_consistent(completed, tokens)
 
 
 def classify(instance: Instance) -> InstanceClass:

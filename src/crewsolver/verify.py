@@ -1,8 +1,11 @@
 """Witness verification: replay a recorded play sequence against an instance.
 
-A witness is accepted when every trick is legal, leads chain by trick winner,
-no card is reused, and the replay reaches a won state at or before the final
-trick.  Rejections carry a reason code and the earliest failing trick index.
+A witness is accepted when its opening leader is a player, every trick is
+legal, leads chain by trick winner, no card is reused, and the replay reaches
+a won state at or before the final trick.  Token order is checked trick by
+trick: a broken order can never be mended, so the first trick that breaks
+one is the failing trick.  Rejections carry a reason code and the earliest
+failing trick index.
 """
 
 from __future__ import annotations
@@ -10,15 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 
-from .model import (
-    Instance,
-    PlayError,
-    Trick,
-    check_tokens,
-    tokens_violated,
-    trick_winner,
-)
+from .model import Instance, PlayError, TokenConstraint, Trick, trick_winner
 
 
 class Reason(Enum):
@@ -60,6 +57,34 @@ def _reject(reason: Reason, index: int | None, detail: str) -> Verdict:
     return Verdict(accepted=False, reason=reason, trick_index=index, detail=detail)
 
 
+def _tokens_broken(
+    tokens: tuple[TokenConstraint, ...], done: set[int], new: set[int]
+) -> bool:
+    """True when the trick that completes ``new`` after ``done`` breaks a
+    token order that no earlier trick broke: a newly completed objective
+    still has a ``before`` objective open, an open objective has an
+    ``after`` objective in ``new``, or the same-trick constraints among
+    ``new`` form a cycle.  (An ``after`` objective already in ``done`` was
+    rejected by the trick that completed it, while its token's objective
+    was still open.)"""
+    same_trick = TopologicalSorter()
+    for tok in tokens:
+        if tok.objective in new:
+            if tok.before - done - new:
+                return True
+            for b in tok.before & new:
+                same_trick.add(tok.objective, b)
+            for a in tok.after & new:
+                same_trick.add(a, tok.objective)
+        elif tok.objective not in done and tok.after & new:
+            return True
+    try:
+        same_trick.prepare()
+    except CycleError:
+        return True
+    return False
+
+
 def verify_sequence(instance: Instance, sequence: PlaySequence) -> Verdict:
     """Replay ``sequence`` on ``instance`` and report the earliest failure.
 
@@ -79,13 +104,19 @@ def verify_sequence(instance: Instance, sequence: PlaySequence) -> Verdict:
             f"sequence leads with {sequence.first_lead}, "
             f"instance fixes {inst.first_lead}",
         )
+    if not 1 <= sequence.first_lead <= inst.players:
+        return _reject(
+            Reason.BAD_LEAD,
+            0,
+            f"sequence leads with {sequence.first_lead}, "
+            f"deal has {inst.players} players",
+        )
 
     hands = [set(hand) for hand in inst.hands]
     suit_left = [Counter(card.suit for card in hand) for hand in inst.hands]
     target_index = {obj.card: idx for idx, obj in enumerate(inst.objectives)}
-    completed: list[int | None] = [None] * len(inst.objectives)
-    open_count = len(inst.objectives)
-    won = open_count == 0
+    done: set[int] = set()
+    won = not inst.objectives
     starved = not won and any(not hand for hand in hands)
     played: set = set()
     expected: int | None = inst.first_lead
@@ -132,6 +163,7 @@ def verify_sequence(instance: Instance, sequence: PlaySequence) -> Verdict:
                     )
 
         winner = trick_winner(trick, inst.trump_suit)
+        new: set[int] = set()
         misrouted = False
         for play in trick.plays:
             played.add(play.card)
@@ -140,8 +172,7 @@ def verify_sequence(instance: Instance, sequence: PlaySequence) -> Verdict:
             target = target_index.get(play.card)
             if target is not None:
                 if winner == inst.objectives[target].owner:
-                    completed[target] = index
-                    open_count -= 1
+                    new.add(target)
                 else:
                     misrouted = True
         expected = winner
@@ -150,11 +181,12 @@ def verify_sequence(instance: Instance, sequence: PlaySequence) -> Verdict:
             return _reject(
                 Reason.OBJECTIVE_MISROUTED, index, "loss: objective-misrouted"
             )
-        if tokens_violated(completed, inst.tokens):
+        if inst.tokens and _tokens_broken(inst.tokens, done, new):
             return _reject(
                 Reason.TOKEN_ORDER_VIOLATED, index, "loss: token-order-violated"
             )
-        if open_count == 0 and check_tokens(completed, inst.tokens):
+        done |= new
+        if len(done) == len(inst.objectives):
             won = True
         elif any(not hand for hand in hands):
             return _reject(Reason.HAND_EMPTY_EARLY, index, "loss: hand-empty")

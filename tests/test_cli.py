@@ -261,6 +261,20 @@ class TestGen:
         assert entry(["gen", "single-value", "-n", "2", "-p", "1", "-l", "5"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--vertices", "0"], "need at least one vertex"),
+            (["--edge-prob", "2"], "edge probability must lie in [0, 1]"),
+        ],
+        ids=["vertices", "edge-prob"],
+    )
+    def test_bad_graph_params_exit_two(self, capsys, flags, message):
+        # Bad parameters are a usage error, reported like the instance
+        # generators' errors, not as a crash.
+        assert entry(["gen", "graph", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestClassify:
     def test_label(self, deal_file, capsys):

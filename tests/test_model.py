@@ -1,5 +1,6 @@
 """Rules-layer tests: instance validation, trick mechanics (including the
-replay oracle in ``trick_replay``), token logic."""
+replay oracle in ``trick_replay``), and the oracle's whole-record token
+checks."""
 
 from __future__ import annotations
 
@@ -15,10 +16,8 @@ from crewsolver.model import (
     PlayError,
     TokenConstraint,
     Trick,
-    check_tokens,
     classify,
     rotation,
-    tokens_violated,
     trick_winner,
 )
 from trick_replay import (
@@ -26,8 +25,10 @@ from trick_replay import (
     MISROUTED,
     WON,
     apply_trick,
+    check_tokens,
     initial_state,
     legal_plays,
+    tokens_violated,
 )
 
 

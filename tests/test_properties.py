@@ -16,7 +16,6 @@ from crewsolver.model import (
     Instance,
     Objective,
     TokenConstraint,
-    _same_trick_consistent,
     rotation,
     trick_winner,
 )
@@ -36,16 +35,31 @@ from crewsolver.serialize import (
     loads_witness,
 )
 from crewsolver.solvers import solve, solve_single_suit
-from crewsolver.verify import PlaySequence, Reason, verify_sequence
+from crewsolver.verify import PlaySequence, Reason, _tokens_broken, verify_sequence
 from trick_replay import (
     HAND_EMPTY,
     MISROUTED,
     TOKEN_ORDER,
     WON,
+    _same_trick_consistent,
     apply_trick,
+    check_tokens,
     initial_state,
     legal_plays,
+    tokens_violated,
 )
+
+
+def _token(draw, idx: int, count: int, max_after: int) -> TokenConstraint:
+    """A token on objective ``idx`` of ``count``: up to two ``before`` and
+    up to ``max_after`` disjoint ``after`` objectives."""
+    rest = [i for i in range(count) if i != idx]
+    before = frozenset(draw(st.sets(st.sampled_from(rest), max_size=2)))
+    leftover = [i for i in rest if i not in before]
+    after = frozenset(
+        draw(st.sets(st.sampled_from(leftover), max_size=max_after))
+    ) if leftover else frozenset()
+    return TokenConstraint(idx, before=before, after=after)
 
 
 @st.composite
@@ -80,14 +94,16 @@ def deals(draw, max_players=3, max_cards=9, tokens_ok=True, trump_ok=True):
 
     tokens = ()
     if tokens_ok and len(objectives) >= 2 and draw(st.booleans()):
-        idx = draw(st.integers(0, len(objectives) - 1))
-        rest = [i for i in range(len(objectives)) if i != idx]
-        before = frozenset(draw(st.sets(st.sampled_from(rest), max_size=2)))
-        leftover = [i for i in rest if i not in before]
-        after = frozenset(
-            draw(st.sets(st.sampled_from(leftover), max_size=1))
-        ) if leftover else frozenset()
-        tokens = (TokenConstraint(idx, before=before, after=after),)
+        # Two tokens can close a same-trick cycle; one never can.
+        constrained = draw(
+            st.lists(
+                st.integers(0, len(objectives) - 1),
+                min_size=1,
+                max_size=2,
+                unique=True,
+            )
+        )
+        tokens = tuple(_token(draw, idx, len(objectives), 1) for idx in constrained)
 
     lead = draw(st.one_of(st.none(), st.integers(1, players)))
     return Instance(
@@ -412,18 +428,8 @@ def trick_groups(draw):
     """A completion record plus tokens among objectives sharing tricks."""
     l = draw(st.integers(2, 4))
     record = tuple(draw(st.integers(0, 2)) for _ in range(l))
-    tokens = []
-    for idx in range(l):
-        if not draw(st.booleans()):
-            continue
-        rest = [i for i in range(l) if i != idx]
-        before = frozenset(draw(st.sets(st.sampled_from(rest), max_size=2)))
-        leftover = [i for i in rest if i not in before]
-        after = frozenset(
-            draw(st.sets(st.sampled_from(leftover), max_size=2))
-        ) if leftover else frozenset()
-        tokens.append(TokenConstraint(idx, before=before, after=after))
-    return record, tuple(tokens)
+    tokens = tuple(_token(draw, idx, l, 2) for idx in range(l) if draw(st.booleans()))
+    return record, tokens
 
 
 def _consistent_by_enumeration(record, tokens) -> bool:
@@ -452,3 +458,36 @@ def test_same_trick_consistency_matches_enumeration(group):
     assert _same_trick_consistent(record, tokens) == _consistent_by_enumeration(
         record, tokens
     )
+
+
+@st.composite
+def token_records(draw):
+    """Tokens among up to four objectives, and the trick each objective
+    completes in (None: never) over a few tricks; same-trick cycles
+    included."""
+    l = draw(st.integers(2, 4))
+    tricks = draw(st.integers(1, 4))
+    record = tuple(
+        draw(st.none() | st.integers(0, tricks - 1)) for _ in range(l)
+    )
+    constrained = draw(st.lists(st.integers(0, l - 1), max_size=3, unique=True))
+    return tricks, record, tuple(_token(draw, idx, l, 2) for idx in constrained)
+
+
+@given(token_records())
+@settings(max_examples=400)
+def test_per_trick_token_rule_matches_whole_record(case):
+    """The verifier's per-trick test, OR-ed over the tricks so far, fires
+    exactly when the oracle's whole-record check finds the prefix lost."""
+    tricks, record, tokens = case
+    done: set[int] = set()
+    broken = False
+    assert not tokens_violated((None,) * len(record), tokens)
+    for t in range(tricks):
+        new = {idx for idx, when in enumerate(record) if when == t}
+        broken = broken or _tokens_broken(tokens, done, new)
+        done |= new
+        prefix = tuple(None if when is None or when > t else when for when in record)
+        assert broken == tokens_violated(prefix, tokens)
+    if None not in record:
+        assert broken == (not check_tokens(record, tokens))

@@ -6,7 +6,15 @@ import dataclasses
 
 import pytest
 
-from crewsolver.model import Card, Play, PlayError, TokenConstraint, Trick
+from crewsolver.model import (
+    Card,
+    Instance,
+    Play,
+    PlayError,
+    TokenConstraint,
+    Trick,
+    rotation,
+)
 from crewsolver.verify import PlaySequence, Reason, Verdict, verify_sequence
 
 
@@ -43,6 +51,23 @@ class TestRejectionReasons:
             tricks=(trick_builder(2, [(3, 1), (5, 2), (1, 1), (2, 1)]),),
         )
         verdict = verify_sequence(uneven_deal, wrong_opener)
+        assert verdict.reason is Reason.BAD_LEAD
+        assert verdict.trick_index == 0
+
+    @pytest.mark.parametrize("lead", [-5, 0, 3, 99])
+    def test_opening_leader_not_a_player(self, lead):
+        # No lead is pinned and no objective is open, so nothing else could
+        # reject; a certificate naming a player who does not exist must.
+        hands = (frozenset({Card(1, 1)}), frozenset({Card(1, 2)}))
+        inst = Instance(players=2, k=1, s=2, hands=hands)
+        assert verify_sequence(inst, PlaySequence(first_lead=1)).accepted
+        verdict = verify_sequence(inst, PlaySequence(first_lead=lead))
+        assert verdict.reason is Reason.BAD_LEAD
+        assert verdict.trick_index == 0
+        # A rotation-ordered trick led by the same outsider is no better.
+        plays = tuple(Play(q, Card(1, q)) for q in rotation(lead, 2))
+        trick = Trick(lead=lead, plays=plays)
+        verdict = verify_sequence(inst, PlaySequence(first_lead=lead, tricks=(trick,)))
         assert verdict.reason is Reason.BAD_LEAD
         assert verdict.trick_index == 0
 
