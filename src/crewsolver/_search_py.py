@@ -26,15 +26,21 @@ collapse test is one bitmask step: the lowest live-or-on-table bit above a
 card in its suit is its successor.  Every player plays exactly one card per
 trick, so at trick depth ``d`` every hand holds its starting size minus ``d``
 cards; the distinct-owner bound and the empty-hand test are arithmetic on
-the smallest starting hand, the distinct-owner count is cached per
-completed mask, and the token-block test per (completed, newly completed)
-pair.
+the smallest starting hand, and the distinct-owner count is cached per
+completed mask.
+
+Token order is the caller's rule: ``tokens_broken(completed, new)`` says
+whether a trick completing ``new`` after ``completed`` (bit ``o`` is
+objective ``o``) breaks it, and is called only on a miss in a per-search
+cache of such pairs.
 
 This module has no dependencies on the rest of the package; the wrapper in
 ``exhaustive`` handles encoding and decoding.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 WIN = 1
 LOSS = 0
@@ -48,8 +54,7 @@ def search(
     owners: list[int],
     obj_card: list[int],
     obj_owner: list[int],
-    before: list[int],
-    after: list[int],
+    tokens_broken: Callable[[int, int], bool] | None,
     trump: int,
     first_lead: int,
     budget: int,
@@ -57,10 +62,11 @@ def search(
     """Run the search; see the module docstring for the contract.
 
     Players and suits are 0-based dense indices here; ``trump`` and
-    ``first_lead`` use -1 for "none".  ``budget`` caps branch nodes
-    (0 = unlimited).  Returns ``(status, leads, tricks, nodes)`` where
-    status is 1 (win), 0 (loss) or -1 (budget exhausted); ``tricks`` holds
-    card indices per trick in rotation order from that trick's lead.
+    ``first_lead`` use -1 for "none"; ``tokens_broken`` is ``None`` for a
+    deal without tokens.  ``budget`` caps branch nodes (0 = unlimited).
+    Returns ``(status, leads, tricks, nodes)`` where status is 1 (win), 0
+    (loss) or -1 (budget exhausted); ``tricks`` holds card indices per trick
+    in rotation order from that trick's lead.
     """
     n = len(values)
     l = len(obj_card)
@@ -98,7 +104,6 @@ def search(
         owner_bit[o] = 1 << obj_owner[o]
     obj_cards = sum(obj_bit_of)
     hand_nonobj = [m & ~obj_cards for m in hand_mask]
-    has_tokens = any(before) or any(after)
 
     # Each player's cards in branch order, with what the seat loop reads
     # about them: (bit, label, objective or -1, its owner or -1, same-suit
@@ -133,89 +138,36 @@ def search(
 
     failed: set[tuple[int, int, int]] = set()
     owner_count: dict[int, int] = {}
-    # token_block's answer per (completed, newly completed) pair.
+    # tokens_broken's answer per (completed, newly completed) pair.
     blocked: dict[tuple[int, int], bool] = {}
     nodes = 0
     final_depth = 0
-
-    def cycle_in(s_mask: int) -> bool:
-        members = []
-        m = s_mask
-        while m:
-            low = m & -m
-            members.append(low.bit_length() - 1)
-            m ^= low
-        edges = {o: set() for o in members}
-        for o in members:
-            b = before[o] & s_mask
-            while b:
-                low = b & -b
-                edges[low.bit_length() - 1].add(o)
-                b ^= low
-            a = after[o] & s_mask
-            while a:
-                low = a & -a
-                edges[o].add(low.bit_length() - 1)
-                a ^= low
-        indeg = {o: 0 for o in members}
-        for src in members:
-            for dst in edges[src]:
-                indeg[dst] += 1
-        queue = [o for o in members if indeg[o] == 0]
-        seen = 0
-        while queue:
-            node = queue.pop()
-            seen += 1
-            for dst in edges[node]:
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    queue.append(dst)
-        return seen != len(members)
-
-    def token_block(cb: int, s_mask: int) -> bool:
-        live = cb | s_mask
-        m = s_mask
-        while m:
-            low = m & -m
-            o = low.bit_length() - 1
-            m ^= low
-            if before[o] & ~live & all_objs:
-                return True
-            if after[o] & cb:
-                return True
-        rest = all_objs & ~live
-        while rest:
-            low = rest & -rest
-            o = low.bit_length() - 1
-            rest ^= low
-            if after[o] & s_mask:
-                return True
-        return cycle_in(s_mask)
 
     def resolve(rem: int, start: int, completed: int, best: int, depth: int) -> int:
         # Every objective card on the table belongs to the winner: the seat
         # loop drops a card of a second owner, and by the last seat every
         # owner has played, so it drops a trick its owner is not winning.
         nonlocal final_depth
-        new_completed = completed
+        new = 0
         m = (start ^ rem) & obj_cards
         while m:
             low = m & -m
-            new_completed |= obj_bit_of[low]
+            new |= obj_bit_of[low]
             m ^= low
-        if has_tokens and new_completed != completed:
-            key = (completed, new_completed)
+        if new and tokens_broken is not None:
+            key = (completed, new)
             block = blocked.get(key)
             if block is None:
-                block = blocked[key] = token_block(completed, new_completed & ~completed)
+                block = blocked[key] = tokens_broken(completed, new)
             if block:
                 return LOSS
-        if new_completed == all_objs:
+        completed |= new
+        if completed == all_objs:
             final_depth = depth + 1
             return WIN
         if min_size <= depth + 1:
             return LOSS
-        return boundary(rem, owner[best], new_completed, depth + 1)
+        return boundary(rem, owner[best], completed, depth + 1)
 
     def seat(
         rem: int,

@@ -3,8 +3,9 @@
 Subcommands: ``solve``, ``verify``, ``reduce``, ``gen``, ``classify``,
 ``bench``.  Exit codes follow one contract everywhere: 0 for yes/accepted,
 1 for no/rejected, 2 for errors, unparsable input, an exhausted search
-budget, or any unexpected exception.  ``--json`` switches any command's
-report to machine-readable form.
+budget, or any unexpected exception.  ``--json`` switches the report of
+``solve``, ``verify``, ``reduce``, ``classify`` or ``bench`` to
+machine-readable form.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
 
 
 def _write(path: str, text: str) -> None:

@@ -2,14 +2,15 @@
 
 The search itself is ``crewsolver._search_py.search``, which works on dense
 integer arrays; this module turns an :class:`Instance` into those arrays and
-the kernel's trick rows back into a :class:`PlaySequence`.
+the kernel's trick rows back into a :class:`PlaySequence`.  The kernel's
+token test is the verifier's, ``verify._tokens_broken``, on bit masks.
 """
 
 from __future__ import annotations
 
 from . import _search_py
 from .model import Card, Instance, Play, Trick
-from .verify import PlaySequence
+from .verify import PlaySequence, _tokens_broken
 
 
 def run_search(
@@ -41,18 +42,14 @@ def run_search(
 
     obj_card = [card_index[o.card] for o in inst.objectives]
     obj_owner = [o.owner - 1 for o in inst.objectives]
-    l = len(obj_card)
-    before = [0] * l
-    after = [0] * l
-    for tok in inst.tokens:
-        for b in tok.before:
-            before[tok.objective] |= 1 << b
-        for a in tok.after:
-            after[tok.objective] |= 1 << a
 
-    trump = -1
-    if inst.trump_suit is not None and inst.trump_suit in suit_ids:
-        trump = suit_ids[inst.trump_suit]
+    def objs(mask: int) -> set[int]:
+        return {o for o in range(len(obj_card)) if mask >> o & 1}
+
+    def tokens_broken(done: int, new: int) -> bool:
+        return _tokens_broken(inst.tokens, objs(done), objs(new))
+
+    trump = suit_ids.get(inst.trump_suit, -1)
     first_lead = -1 if inst.first_lead is None else inst.first_lead - 1
 
     status, leads, tricks, nodes = _search_py.search(
@@ -62,8 +59,7 @@ def run_search(
         owners,
         obj_card,
         obj_owner,
-        before,
-        after,
+        tokens_broken if inst.tokens else None,
         trump,
         first_lead,
         budget,
@@ -78,6 +74,5 @@ def run_search(
                 for seat, cidx in enumerate(row)
             )
             out.append(Trick(lead=lead + 1, plays=plays))
-        first = leads[0] + 1 if out else (inst.first_lead or 1)
-        witness = PlaySequence(first_lead=first, tricks=tuple(out))
+        witness = PlaySequence(first_lead=out[0].lead, tricks=tuple(out))
     return (status, witness, nodes, "py")

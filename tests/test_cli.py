@@ -173,6 +173,14 @@ class TestVerify:
         assert entry(["verify", deal_file, str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_witness_names_file(self, deal_file, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"lead": 1, "tricks": [\xff]}')
+        assert entry(["verify", deal_file, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "UnicodeDecodeError" not in err
+
     def test_json_verdict(self, deal_file, witness_file, capsys):
         assert entry(["verify", deal_file, witness_file, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import random
+from pathlib import Path
 
 from crewsolver import _search_py
 from crewsolver.exhaustive import run_search
 from crewsolver.generate import gen_general, gen_graph
-from crewsolver.model import Card, Instance, Objective, TokenConstraint
+from crewsolver.model import Card, Instance, Objective, Play, TokenConstraint, Trick
 from crewsolver.reduction import reduce_hp, reduce_hp_tokens, reduce_hp_trump
 from crewsolver.solvers import solve_exhaustive
-from crewsolver.verify import verify_sequence
+from crewsolver.verify import PlaySequence, Reason, verify_sequence
 
 
 def test_no_objectives_short_circuit(uneven_deal):
@@ -96,6 +98,48 @@ def test_token_instances_searched(uneven_deal):
     assert run_search(blocked)[0] == 0
 
 
+def test_same_trick_token_cycle():
+    # One trick completes both of player 1's objectives, whoever leads.
+    base = Instance(
+        players=2,
+        k=2,
+        s=1,
+        hands=(frozenset({Card(2, 1)}), frozenset({Card(1, 1)})),
+        objectives=(Objective(Card(2, 1), 1), Objective(Card(1, 1), 1)),
+    )
+    first = TokenConstraint(0, before=frozenset({1}))
+    second = TokenConstraint(1, before=frozenset({0}))
+    for tokens in ((first,), (second,)):
+        assert run_search(dataclasses.replace(base, tokens=tokens))[0] == 1
+
+    # Together the two tokens ask each objective to come strictly first.
+    cycle = dataclasses.replace(base, tokens=(first, second))
+    assert run_search(cycle)[0] == 0
+    line = PlaySequence(
+        first_lead=1,
+        tricks=(Trick(lead=1, plays=(Play(1, Card(2, 1)), Play(2, Card(1, 1)))),),
+    )
+    assert verify_sequence(base, line).accepted
+    verdict = verify_sequence(cycle, line)
+    assert (verdict.reason, verdict.trick_index) == (Reason.TOKEN_ORDER_VIOLATED, 0)
+
+
+def test_kernel_imports_nothing_from_package():
+    """The kernel is self-contained: no import from ``crewsolver``, relative
+    or absolute, so it can be ported or replaced on its own."""
+    tree = ast.parse(Path(_search_py.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] != "crewsolver", ast.unparse(node)
+
+
 # (status, nodes, first trick's cards) as the kernel returned them before its
 # per-node rewrite; the rewrite must reproduce them exactly, cuts included.
 _PINNED = [
@@ -114,6 +158,10 @@ _PINNED = [
     (lambda: reduce_hp_tokens(gen_graph(5, 0.5, 2)), 0, 1, 4595,
      [(2, 1), (1, 1), (3, 6), (4, 6), (3, 2), (5, 12)]),
     (lambda: reduce_hp_trump(gen_graph(5, 0.5, 0)), 0, 0, 18142, None),
+    # The only gen_general draws seen whose node count depends on the
+    # same-trick token cycle test.
+    (lambda: gen_general(20, 4, 6, 31), 0, 0, 634, None),
+    (lambda: gen_general(20, 4, 6, 149), 0, 0, 1227, None),
 ]
 
 
