@@ -17,7 +17,11 @@ Four solvers share one report shape:
   owner wins each target trick (playing the target itself when held,
   otherwise their highest card over the holder's feed), other holders feed,
   and the remaining players discard high-but-losing cards outside their
-  reserve.
+  reserve.  Both steps count rather than search: an owner's extra tricks
+  are the largest Hall shortfall among the holders' fed cards, and since
+  the tricks are played with strictly falling thresholds, a card at or
+  above one threshold never fits a later trick, so one forward index per
+  hand finds every discard.
 * ``solve_exhaustive`` — complete memoized search; the only solver that
   accepts tokens and a trump suit, and the oracle the others are tested
   against.
@@ -33,7 +37,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, neg
 from time import perf_counter
 
 from .exhaustive import run_search
@@ -77,43 +81,6 @@ class SolveReport:
     witness: PlaySequence | None
     solver_id: str
     stats: SolveStats
-
-
-class _DrainList:
-    """Static sorted values with lazy deletion and leftward path compression.
-
-    Values must be unique (single-suit hands guarantee it).  Supports
-    "remove the largest live value strictly below a bound" in
-    near-logarithmic amortized time.
-    """
-
-    __slots__ = ("vals", "jump")
-
-    def __init__(self, values) -> None:
-        self.vals = sorted(values)
-        self.jump = list(range(len(self.vals)))
-
-    def _find(self, i: int) -> int:
-        jump = self.jump
-        root = i
-        while root >= 0 and jump[root] != root:
-            root = jump[root]
-        while i >= 0 and i != root:
-            nxt = jump[i]
-            jump[i] = root
-            i = nxt
-        return root
-
-    def _delete(self, i: int) -> None:
-        self.jump[i] = i - 1
-
-    def take_below(self, bound: int) -> int | None:
-        """Remove and return the largest live value < bound, if any."""
-        i = self._find(bisect_left(self.vals, bound) - 1)
-        if i < 0:
-            return None
-        self._delete(i)
-        return self.vals[i]
 
 
 # The classes each solver decides; ``solve`` may not force one outside them.
@@ -208,24 +175,6 @@ def solve_single_suit_owned(instance: Instance, want_witness: bool = True) -> So
     return _single_suit(instance, want_witness, "ss-owned")
 
 
-def _feeds_fit(thresholds_asc: list[int], holder_vals: dict[int, list[int]]) -> bool:
-    """Can every holder place each fed card under a distinct threshold?
-
-    Holders are independent (a trick absorbs one card from each player), so
-    this is a per-holder two-pointer matching of ascending card values to
-    ascending winning-card thresholds.
-    """
-    for vals in holder_vals.values():
-        at = 0
-        for u in vals:
-            while at < len(thresholds_asc) and thresholds_asc[at] <= u:
-                at += 1
-            if at == len(thresholds_asc):
-                return False
-            at += 1
-    return True
-
-
 def solve_single_suit(instance: Instance, want_witness: bool = True) -> SolveReport:
     """Decide a one-suit deal with arbitrarily placed objective cards.
 
@@ -237,13 +186,20 @@ def solve_single_suit(instance: Instance, want_witness: bool = True) -> SolveRep
     therefore wins one trick per self-held objective plus the fewest extra
     tricks — won with their largest spare cards — that let every holder
     place each fed card under a distinct fitting threshold (a holder can
-    feed only one card per trick).  Feeding into the tightest fitting trick
-    is optimal: the fed card also serves as that holder's mandatory
+    feed only one card per trick).  That number is counted, by Hall's
+    condition: if a holder feeds ``m`` cards of value ``u`` or more and
+    the owner holds ``s`` self-held thresholds above ``u``, then ``m - s``
+    spares above ``u`` are short.  The deal is lost if some shortfall
+    exceeds the owner's spares above ``u``; otherwise the extra tricks are
+    the largest shortfall (or none).  Feeding into the tightest fitting
+    trick is optimal: the fed card also serves as that holder's mandatory
     under-threshold play.  All remaining seats discard their largest
     non-objective card under the threshold, visiting tricks from the
-    highest threshold down; any seat with no fitting card loses.  Every
-    trick completes at least one objective, so a witness never needs more
-    tricks than there are objectives.
+    highest threshold down; any seat with no fitting card loses.  The
+    thresholds strictly fall, so a card skipped as too high never fits
+    later and one forward index over each hand's descending cards finds
+    every discard.  Every trick completes at least one objective, so a
+    witness never needs more tricks than there are objectives.
     """
     _require(classify(instance), "single-suit")
     return _single_suit(instance, want_witness, "single-suit")
@@ -277,22 +233,21 @@ def _single_suit(instance: Instance, want_witness: bool, solver_id: str) -> Solv
     # Plan each owner's tricks: (threshold, owner, feeds {holder: value}).
     planned: list[tuple[int, int, dict[int, int]]] = []
     for owner in sorted(set(self_vals) | set(ext_vals)):
-        selfs = self_vals.get(owner, [])
+        selfs = sorted(self_vals.get(owner, []))
         holders = {h: sorted(vals) for h, vals in ext_vals.get(owner, {}).items()}
         spare = junk[owner]
 
+        # Hall's condition per holder: the fed cards from ``u`` up need as
+        # many thresholds above ``u``; ``short`` of them must be spares, and
+        # spares join largest-first, so the largest shortfall is ``extra``.
+        # ``spare`` is descending: bisecting on ``neg`` counts those above u.
         extra = 0
-        if holders:
-            lo, hi = 0, len(spare)
-            if not _feeds_fit(sorted(selfs + spare[:hi]), holders):
-                return _no(solver_id, t0)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _feeds_fit(sorted(selfs + spare[:mid]), holders):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            extra = lo
+        for vals in holders.values():
+            for j, u in enumerate(vals):
+                short = len(vals) - j - (len(selfs) - bisect_left(selfs, u))
+                if short > bisect_left(spare, -u, key=neg):
+                    return _no(solver_id, t0)
+                extra = max(extra, short)
 
         thresholds_asc = sorted(selfs + spare[:extra])
         feeds: dict[int, dict[int, int]] = {th: {} for th in thresholds_asc}
@@ -307,10 +262,11 @@ def _single_suit(instance: Instance, want_witness: bool, solver_id: str) -> Solv
         junk[owner] = spare[extra:]
 
     # Play the plan from the highest threshold down; everyone not winning or
-    # feeding discards their largest fitting card.
+    # feeding discards their largest fitting card.  Thresholds strictly
+    # fall, so a card skipped as too high never fits again: one forward
+    # index per hand walks its descending junk list.
     planned.sort(key=lambda trick: trick[0], reverse=True)
-    # Popping frees each hand's junk list once its pool holds a sorted copy.
-    pools = {q: _DrainList(junk.pop(q)) for q in range(1, instance.players + 1)}
+    at = dict.fromkeys(junk, 0)
     tricks: list[Trick] = []
     lead = instance.first_lead or planned[0][1]
     for threshold, owner, trick_feeds in planned:
@@ -320,10 +276,13 @@ def _single_suit(instance: Instance, want_witness: bool, solver_id: str) -> Solv
         for q in range(1, instance.players + 1):
             if q in plays:
                 continue
-            below = pools[q].take_below(threshold)
-            if below is None:
+            left, i = junk[q], at[q]
+            while i < len(left) and left[i] >= threshold:
+                i += 1
+            if i == len(left):
                 return _no(solver_id, t0, tricks=len(tricks))
-            plays[q] = Card(below, suit)
+            plays[q] = Card(left[i], suit)
+            at[q] = i + 1
         tricks.append(
             Trick(
                 lead=lead,
@@ -390,7 +349,7 @@ _SOLVER_FOR_CLASS = {
     InstanceClass.GENERAL: "exhaustive",
 }
 
-SOLVER_IDS = ("single-value", "ss-owned", "single-suit", "exhaustive")
+SOLVER_IDS = tuple(_ACCEPTS)
 
 
 def solve(

@@ -7,6 +7,8 @@ regression in either side shows up as a disagreement.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from crewsolver.generate import gen_single_suit, gen_ss_owned
@@ -18,9 +20,9 @@ from crewsolver.model import (
     TokenConstraint,
     classify,
 )
+from crewsolver.serialize import dumps_witness
 from crewsolver.solvers import (
     SolverMismatchError,
-    _DrainList,
     solve,
     solve_exhaustive,
     solve_single_suit,
@@ -46,21 +48,6 @@ def _ones(*hands: tuple[int, ...], objectives=(), **kw) -> Instance:
     return Instance(
         players=len(hands), k=1, s=s, hands=built, objectives=objs, **kw
     )
-
-
-class TestDrainList:
-    def test_take_below(self):
-        d = _DrainList([1, 4, 6, 9])
-        assert d.take_below(7) == 6
-        assert d.take_below(7) == 4
-        assert d.take_below(2) == 1
-        assert d.take_below(2) is None
-        assert d.take_below(100) == 9
-        assert d.take_below(100) is None
-
-    def test_empty(self):
-        d = _DrainList([])
-        assert d.take_below(5) is None
 
 
 class TestSingleValue:
@@ -216,6 +203,14 @@ _ONE_SUIT_PINNED = [
     (lambda: gen_single_suit(20, 3, 3, 7), False, 2, None, None),
     (lambda: gen_single_suit(16, 3, 2, 10), False, 1, None, None),
     (lambda: gen_single_suit(24, 4, 5, 0), False, 0, None, None),
+    # Hand-built plan-step edges, measured before extra tricks were counted
+    # by Hall's shortfall; the exhaustive solver agrees with each decision.
+    # The shortfall equals the owner's spares exactly:
+    (lambda: _suit1((9, 8), (3, 4), objectives=((3, 1), (4, 1))), True, 2, [(9, 1), (4, 1)], 2),
+    # ... exceeds them:
+    (lambda: _suit1((9, 8), (3, 4, 5), objectives=((3, 1), (4, 1), (5, 1))), False, 0, None, None),
+    # ... is reduced by a self-held threshold above the fed cards:
+    (lambda: _suit1((9, 6), (5, 7), objectives=((6, 1), (5, 1), (7, 1))), True, 2, [(9, 1), (7, 1)], 2),
 ]
 
 
@@ -240,6 +235,22 @@ def test_one_suit_outputs_pinned():
             assert (len(witness.tricks) if witness else None) == count, row
             if witness is not None:
                 assert verify_sequence(inst, witness).accepted
+
+
+# (stats.tricks, sha256 of dumps_witness) measured before extra tricks were
+# counted and discards taken by one index per hand; 12 and 11 extra tricks
+# over 5 owners, so these pin every discard, not only the first trick's.
+_WITNESS_PINNED = [
+    ((200, 5, 20, 1), 14, "a7548519ec82c63c4cecbd6285913774ca9ec8076639094c880dea613b1a6f8c"),
+    ((120, 5, 20, 23), 13, "69a60393535a84d25a3d989109feb8ee1cfe302bd27ad55fe01b526212591c9e"),
+]
+
+
+@pytest.mark.parametrize("args, tricks, digest", _WITNESS_PINNED)
+def test_single_suit_witness_pinned(args, tricks, digest):
+    report = solve(gen_single_suit(*args))
+    assert report.stats.tricks == tricks
+    assert hashlib.sha256(dumps_witness(report.witness).encode()).hexdigest() == digest
 
 
 class TestDispatcher:
