@@ -34,8 +34,8 @@ whether a trick completing ``new`` after ``completed`` (bit ``o`` is
 objective ``o``) breaks it, and is called only on a miss in a per-search
 cache of such pairs.
 
-This module has no dependencies on the rest of the package; the wrapper in
-``exhaustive`` handles encoding and decoding.
+This module has no dependencies on the rest of the package;
+``solvers._exhaustive`` handles encoding and decoding.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .serialize import (
     loads_instance,
     loads_witness,
 )
-from .solvers import SOLVER_IDS, SolverMismatchError, solve_classified
+from .solvers import SOLVER_IDS, solve_classified
 from .verify import verify_sequence
 
 
@@ -93,7 +93,7 @@ def _cmd_solve(args) -> int:
             budget=args.budget,
             want_witness=True,
         )
-    except (SolverMismatchError, ValueError) as exc:
+    except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
     witness_path = None

@@ -81,8 +81,7 @@ class Trick:
         p = len(self.plays)
         if p == 0:
             raise PlayError("trick has no plays")
-        for seat, play in enumerate(self.plays):
-            expected = ((self.lead - 1 + seat) % p) + 1
+        for seat, (play, expected) in enumerate(zip(self.plays, rotation(self.lead, p))):
             if play.player != expected:
                 raise PlayError(
                     f"plays out of rotation order: seat {seat} is player "

@@ -209,15 +209,18 @@ def reduce_hp_tokens(graph: Graph) -> Instance:
     )
 
 
-def hp_bruteforce(graph: Graph, limit: int = 10) -> tuple[bool, tuple[int, ...] | None]:
+_BRUTEFORCE_LIMIT = 10
+
+
+def hp_bruteforce(graph: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Backtracking Hamiltonian-path oracle for small graphs.
 
     Returns the lexicographically least path when one exists.  Guarded by
-    ``limit`` because the search is factorial in the vertex count.
+    ``_BRUTEFORCE_LIMIT`` because the search is factorial in the vertex count.
     """
     v_count = graph.vertices
-    if v_count > limit:
-        raise ValueError(f"graph has {v_count} vertices, above the limit of {limit}")
+    if v_count > _BRUTEFORCE_LIMIT:
+        raise ValueError(f"graph has {v_count} vertices, above the limit of {_BRUTEFORCE_LIMIT}")
     adjacency = {v: graph.neighbors(v) for v in range(1, v_count + 1)}
     path: list[int] = []
     on_path = [False] * (v_count + 1)

@@ -24,12 +24,15 @@ Four solvers share one report shape:
   hand finds every discard.
 * ``solve_exhaustive`` — complete memoized search; the only solver that
   accepts tokens and a trump suit, and the oracle the others are tested
-  against.
+  against.  ``_exhaustive`` encodes the deal as the integer arrays of the
+  search kernel, ``crewsolver._search_py``, and decodes the line it finds.
 
 ``solve`` dispatches on :func:`crewsolver.model.classify`, run once per
-call: it hands the deal to the solvers' unchecked bodies, while the public
-``solve_single_*`` functions classify to check their preconditions.  A
-``force`` argument overrides the dispatch but still enforces them.
+call; the public ``solve_single_*`` functions classify to check their
+preconditions, and a ``force`` argument overrides the dispatch but still
+enforces them.  Every solver reports through ``_run``, which times the
+run, checks the exhaustive budget and decides a deal with no objectives
+before any solver body sees it: such a deal is won with no tricks.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from operator import itemgetter, neg
 from time import perf_counter
 
-from .exhaustive import run_search
+from . import _search_py
 from .model import (
     Card,
     Instance,
@@ -50,7 +53,7 @@ from .model import (
     classify,
     rotation,
 )
-from .verify import PlaySequence
+from .verify import PlaySequence, _tokens_broken
 
 
 _VALUE = itemgetter(0)
@@ -92,24 +95,6 @@ _ACCEPTS = {
 }
 
 
-def _require(cls: InstanceClass, solver_id: str) -> None:
-    if cls not in _ACCEPTS[solver_id]:
-        raise SolverMismatchError(
-            f"solver {solver_id!r} cannot handle a {cls.value!r} instance"
-        )
-
-
-def _empty_win(instance: Instance, solver_id: str, t0: float) -> SolveReport:
-    seq = PlaySequence(first_lead=instance.first_lead or 1, tricks=())
-    stats = SolveStats(tricks=0, elapsed=perf_counter() - t0)
-    return SolveReport(True, seq, solver_id, stats)
-
-
-def _no(solver_id: str, t0: float, tricks: int = 0) -> SolveReport:
-    stats = SolveStats(tricks=tricks, elapsed=perf_counter() - t0)
-    return SolveReport(False, None, solver_id, stats)
-
-
 def solve_single_value(instance: Instance, want_witness: bool = True) -> SolveReport:
     """Decide an all-values-1 deal.
 
@@ -119,47 +104,38 @@ def solve_single_value(instance: Instance, want_witness: bool = True) -> SolveRe
     no hand holds more objective cards than the shortest hand has tricks to
     give.
     """
-    _require(classify(instance), "single-value")
-    return _single_value(instance, want_witness)
+    return solve_classified(instance, classify(instance), "single-value", None, want_witness)
 
 
-def _single_value(instance: Instance, want_witness: bool) -> SolveReport:
-    t0 = perf_counter()
+def _single_value(instance: Instance) -> tuple[bool, PlaySequence | None, int]:
     objs = instance.objectives
-    if not objs:
-        return _empty_win(instance, "single-value", t0)
-
     owners = {o.owner for o in objs}
     if len(owners) > 1:
-        return _no("single-value", t0)
+        return False, None, 0
     leader = owners.pop()
     if instance.first_lead is not None and instance.first_lead != leader:
-        return _no("single-value", t0)
+        return False, None, 0
     if any(not hand for hand in instance.hands):
-        return _no("single-value", t0)
+        return False, None, 0
 
     targets = {o.card for o in objs}
     held = [len(targets & hand) for hand in instance.hands]
     tricks_needed = max(held)
     if tricks_needed > min(len(hand) for hand in instance.hands):
-        return _no("single-value", t0)
+        return False, None, 0
 
-    witness = None
-    if want_witness:
-        queues = []
-        for hand in instance.hands:
-            mine = sorted(targets & hand, reverse=True)
-            rest = sorted(hand - targets, reverse=True)
-            queues.append(mine + rest)
-        played = []
-        for t in range(tricks_needed):
-            plays = tuple(
-                Play(q, queues[q - 1][t]) for q in rotation(leader, instance.players)
-            )
-            played.append(Trick(lead=leader, plays=plays))
-        witness = PlaySequence(first_lead=leader, tricks=tuple(played))
-    stats = SolveStats(tricks=tricks_needed, elapsed=perf_counter() - t0)
-    return SolveReport(True, witness, "single-value", stats)
+    queues = []
+    for hand in instance.hands:
+        mine = sorted(targets & hand, reverse=True)
+        rest = sorted(hand - targets, reverse=True)
+        queues.append(mine + rest)
+    played = []
+    for t in range(tricks_needed):
+        plays = tuple(
+            Play(q, queues[q - 1][t]) for q in rotation(leader, instance.players)
+        )
+        played.append(Trick(lead=leader, plays=plays))
+    return True, PlaySequence(first_lead=leader, tricks=tuple(played)), tricks_needed
 
 
 def solve_single_suit_owned(instance: Instance, want_witness: bool = True) -> SolveReport:
@@ -171,8 +147,7 @@ def solve_single_suit_owned(instance: Instance, want_witness: bool = True) -> So
     witness uses exactly one trick per objective.  This is the single-suit
     scheduler with nothing to feed, and it runs as that.
     """
-    _require(classify(instance), "ss-owned")
-    return _single_suit(instance, want_witness, "ss-owned")
+    return solve_classified(instance, classify(instance), "ss-owned", None, want_witness)
 
 
 def solve_single_suit(instance: Instance, want_witness: bool = True) -> SolveReport:
@@ -201,16 +176,11 @@ def solve_single_suit(instance: Instance, want_witness: bool = True) -> SolveRep
     every discard.  Every trick completes at least one objective, so a
     witness never needs more tricks than there are objectives.
     """
-    _require(classify(instance), "single-suit")
-    return _single_suit(instance, want_witness, "single-suit")
+    return solve_classified(instance, classify(instance), "single-suit", None, want_witness)
 
 
-def _single_suit(instance: Instance, want_witness: bool, solver_id: str) -> SolveReport:
-    t0 = perf_counter()
+def _single_suit(instance: Instance) -> tuple[bool, PlaySequence | None, int]:
     objs = instance.objectives
-    if not objs:
-        return _empty_win(instance, solver_id, t0)
-
     suit = objs[0].card.suit
     targets = {o.card for o in objs}
     # Only objective cards need a holder; ``targets & hand`` walks the
@@ -246,7 +216,7 @@ def _single_suit(instance: Instance, want_witness: bool, solver_id: str) -> Solv
             for j, u in enumerate(vals):
                 short = len(vals) - j - (len(selfs) - bisect_left(selfs, u))
                 if short > bisect_left(spare, -u, key=neg):
-                    return _no(solver_id, t0)
+                    return False, None, 0
                 extra = max(extra, short)
 
         thresholds_asc = sorted(selfs + spare[:extra])
@@ -280,22 +250,14 @@ def _single_suit(instance: Instance, want_witness: bool, solver_id: str) -> Solv
             while i < len(left) and left[i] >= threshold:
                 i += 1
             if i == len(left):
-                return _no(solver_id, t0, tricks=len(tricks))
+                return False, None, len(tricks)
             plays[q] = Card(left[i], suit)
             at[q] = i + 1
-        tricks.append(
-            Trick(
-                lead=lead,
-                plays=tuple(
-                    Play(q, plays[q]) for q in rotation(lead, instance.players)
-                ),
-            )
-        )
+        seats = rotation(lead, instance.players)
+        tricks.append(Trick(lead, tuple(Play(q, plays[q]) for q in seats)))
         lead = owner
 
-    witness = PlaySequence(tricks[0].lead, tuple(tricks)) if want_witness else None
-    stats = SolveStats(tricks=len(tricks), elapsed=perf_counter() - t0)
-    return SolveReport(True, witness, solver_id, stats)
+    return True, PlaySequence(tricks[0].lead, tuple(tricks)), len(tricks)
 
 
 def _default_budget() -> int:
@@ -312,6 +274,54 @@ def _default_budget() -> int:
     return budget
 
 
+def _exhaustive(
+    instance: Instance, budget: int
+) -> tuple[bool | None, PlaySequence | None, int]:
+    """Encode ``instance`` for the search kernel, run it under ``budget``
+    and decode its line; returns ``(decision, witness, nodes)``, with a
+    ``None`` decision when the budget ran out."""
+    cards = [card for hand in instance.hands for card in sorted(hand)]
+    owners = [q for q, hand in enumerate(instance.hands) for _ in hand]
+
+    suit_ids = {s: i for i, s in enumerate(sorted({c.suit for c in cards}))}
+    values = [c.value for c in cards]
+    suits = [suit_ids[c.suit] for c in cards]
+    card_index = {card: i for i, card in enumerate(cards)}
+
+    obj_card = [card_index[o.card] for o in instance.objectives]
+    obj_owner = [o.owner - 1 for o in instance.objectives]
+
+    def objs(mask: int) -> set[int]:
+        return {o for o in range(len(obj_card)) if mask >> o & 1}
+
+    def tokens_broken(done: int, new: int) -> bool:
+        return _tokens_broken(instance.tokens, objs(done), objs(new))
+
+    trump = suit_ids.get(instance.trump_suit, -1)
+    first_lead = -1 if instance.first_lead is None else instance.first_lead - 1
+
+    status, leads, tricks, nodes = _search_py.search(
+        instance.players,
+        values,
+        suits,
+        owners,
+        obj_card,
+        obj_owner,
+        tokens_broken if instance.tokens else None,
+        trump,
+        first_lead,
+        budget,
+    )
+    if status != 1:
+        return (None if status < 0 else False), None, nodes
+
+    line = []
+    for lead, row in zip(leads, tricks):
+        seats = rotation(lead + 1, instance.players)
+        line.append(Trick(lead + 1, tuple(Play(q, cards[c]) for q, c in zip(seats, row))))
+    return True, PlaySequence(line[0].lead, tuple(line)), nodes
+
+
 def solve_exhaustive(
     instance: Instance,
     budget: int | None = None,
@@ -324,22 +334,7 @@ def solve_exhaustive(
     ``decision`` of ``None`` reports an exhausted budget rather than an
     answer.
     """
-    t0 = perf_counter()
-    if budget is None:
-        budget = _default_budget()
-    elif budget < 0:
-        raise ValueError(f"budget must be a non-negative integer, got {budget}")
-    status, witness, nodes, used = run_search(instance, budget=budget)
-    decision: bool | None = {1: True, 0: False, -1: None}[status]
-    if not decision:
-        witness = None
-    stats = SolveStats(
-        nodes=nodes,
-        tricks=len(witness.tricks) if witness else 0,
-        elapsed=perf_counter() - t0,
-        kernel=used,
-    )
-    return SolveReport(decision, witness if want_witness else None, "exhaustive", stats)
+    return _run(instance, "exhaustive", budget, want_witness)
 
 
 _SOLVER_FOR_CLASS = {
@@ -374,9 +369,42 @@ def solve_classified(
     solver_id = force or _SOLVER_FOR_CLASS[cls]
     if solver_id not in _ACCEPTS:
         raise ValueError(f"unknown solver {force!r}; expected one of {SOLVER_IDS}")
-    _require(cls, solver_id)
-    if solver_id == "single-value":
-        return _single_value(instance, want_witness)
-    if solver_id in ("ss-owned", "single-suit"):
-        return _single_suit(instance, want_witness, solver_id)
-    return solve_exhaustive(instance, budget, want_witness)
+    if cls not in _ACCEPTS[solver_id]:
+        raise SolverMismatchError(
+            f"solver {solver_id!r} cannot handle a {cls.value!r} instance"
+        )
+    return _run(instance, solver_id, budget, want_witness)
+
+
+def _run(
+    instance: Instance,
+    solver_id: str,
+    budget: int | None,
+    want_witness: bool,
+) -> SolveReport:
+    """Run one solver on a deal of a class it accepts and report the result.
+
+    A deal with no objectives is won here with no tricks, so the solver
+    bodies, which return ``(decision, witness, tricks or nodes)``, never
+    see one.  Only the exhaustive search reads ``budget``, and checks it
+    even on such a deal.
+    """
+    t0 = perf_counter()
+    nodes, kernel = 0, ""
+    if solver_id == "exhaustive":
+        if budget is None:
+            budget = _default_budget()
+        elif budget < 0:
+            raise ValueError(f"budget must be a non-negative integer, got {budget}")
+        kernel = "none"
+    if not instance.objectives:
+        decision, witness, tricks = True, PlaySequence(instance.first_lead or 1, ()), 0
+    elif solver_id == "exhaustive":
+        decision, witness, nodes = _exhaustive(instance, budget)
+        tricks = len(witness.tricks) if witness else 0
+        kernel = "py"
+    else:
+        body = _single_value if solver_id == "single-value" else _single_suit
+        decision, witness, tricks = body(instance)
+    stats = SolveStats(nodes, tricks, perf_counter() - t0, kernel)
+    return SolveReport(decision, witness if want_witness else None, solver_id, stats)

@@ -17,7 +17,6 @@ from time import perf_counter
 import pytest
 
 from crewsolver.bench import _big_witness_pair
-from crewsolver.exhaustive import run_search
 from crewsolver.generate import (
     gen_general,
     gen_graph,
@@ -440,16 +439,16 @@ def test_criterion_10_relabel_invariance(acceptance_report):
     suit_bad = value_bad = 0
     for seed in range(200):
         inst = gen_general(9, 3, 2, seed)
-        base = run_search(inst, budget=0)[0]
+        base = solve_exhaustive(inst, budget=0).decision
         rng = random.Random(seed)
 
         suits = list(range(1, inst.s + 1))
         shuffled = suits[:]
         rng.shuffle(shuffled)
-        if run_search(_permute_suits(inst, dict(zip(suits, shuffled))), budget=0)[0] != base:
+        if solve_exhaustive(_permute_suits(inst, dict(zip(suits, shuffled))), budget=0).decision != base:
             suit_bad += 1
 
-        if run_search(_remap_values(inst, rng), budget=0)[0] != base:
+        if solve_exhaustive(_remap_values(inst, rng), budget=0).decision != base:
             value_bad += 1
 
     acceptance_report(

@@ -8,7 +8,6 @@ import random
 from pathlib import Path
 
 from crewsolver import _search_py
-from crewsolver.exhaustive import run_search
 from crewsolver.generate import gen_general, gen_graph
 from crewsolver.model import Card, Instance, Objective, Play, TokenConstraint, Trick
 from crewsolver.reduction import reduce_hp, reduce_hp_tokens, reduce_hp_trump
@@ -18,16 +17,17 @@ from crewsolver.verify import PlaySequence, Reason, verify_sequence
 
 def test_no_objectives_short_circuit(uneven_deal):
     free = dataclasses.replace(uneven_deal, objectives=(), tokens=())
-    status, witness, nodes, kernel = run_search(free)
-    assert status == 1
-    assert witness.tricks == ()
-    assert nodes == 0 and kernel == "none"
+    report = solve_exhaustive(free, budget=0)
+    assert report.decision is True
+    assert report.witness.tricks == ()
+    assert report.stats.nodes == 0 and report.stats.kernel == "none"
 
 
 def test_known_deal_canonical_line(uneven_deal):
-    status, witness, nodes, used = run_search(uneven_deal)
-    assert status == 1 and used == "py"
-    assert nodes == 8
+    report = solve_exhaustive(uneven_deal, budget=0)
+    witness = report.witness
+    assert report.decision is True and report.stats.kernel == "py"
+    assert report.stats.nodes == 8
     first = witness.tricks[0]
     assert [p.card for p in first.plays] == [
         Card(4, 1),
@@ -40,18 +40,14 @@ def test_known_deal_canonical_line(uneven_deal):
 
 
 def test_budget_cut(uneven_deal):
-    status, witness, nodes, _ = run_search(uneven_deal, budget=3)
-    assert status == -1
-    assert witness is None
-    assert nodes == 4  # the first over-budget expansion is counted
-
     report = solve_exhaustive(uneven_deal, budget=3)
-    assert report.decision is None and report.witness is None
+    assert report.decision is None
+    assert report.witness is None
+    assert report.stats.nodes == 4  # the first over-budget expansion is counted
 
 
 def test_budget_zero_is_unlimited(uneven_deal):
-    status, _, _, _ = run_search(uneven_deal, budget=0)
-    assert status == 1
+    assert solve_exhaustive(uneven_deal, budget=0).decision is True
 
 
 def test_first_lead_freedom_searches_all_leads():
@@ -64,21 +60,21 @@ def test_first_lead_freedom_searches_all_leads():
         first_lead=2,
     )
     # The leader does not matter here: player 1's 2 wins either way.
-    assert run_search(base)[0] == 1
+    assert solve_exhaustive(base, budget=0).decision is True
 
     hard = dataclasses.replace(
         base, objectives=(Objective(Card(1, 1), 2),), first_lead=None
     )
     # Player 2's own 1 can never win a trick against the 2, any lead.
-    assert run_search(hard)[0] == 0
+    assert solve_exhaustive(hard, budget=0).decision is False
 
 
 def test_trump_instance_searched(uneven_deal):
     trumped = dataclasses.replace(uneven_deal, trump_suit=3)
-    status, witness, _, _ = run_search(trumped)
-    assert status in (0, 1)
-    if status == 1:
-        assert verify_sequence(trumped, witness).accepted
+    report = solve_exhaustive(trumped, budget=0)
+    assert report.decision in (False, True)
+    if report.decision:
+        assert verify_sequence(trumped, report.witness).accepted
 
 
 def test_token_instances_searched(uneven_deal):
@@ -86,16 +82,16 @@ def test_token_instances_searched(uneven_deal):
     tokened = dataclasses.replace(
         uneven_deal, tokens=(TokenConstraint(1, before=frozenset({0})),)
     )
-    status, witness, _, _ = run_search(tokened)
-    assert status == 1
-    assert verify_sequence(tokened, witness).accepted
+    report = solve_exhaustive(tokened, budget=0)
+    assert report.decision is True
+    assert verify_sequence(tokened, report.witness).accepted
 
     # Reversed ordering: every opening lead misroutes, completes the wrong
     # objective first, or strands the constraint - a guaranteed loss.
     blocked = dataclasses.replace(
         uneven_deal, tokens=(TokenConstraint(0, before=frozenset({1})),)
     )
-    assert run_search(blocked)[0] == 0
+    assert solve_exhaustive(blocked, budget=0).decision is False
 
 
 def test_same_trick_token_cycle():
@@ -110,11 +106,12 @@ def test_same_trick_token_cycle():
     first = TokenConstraint(0, before=frozenset({1}))
     second = TokenConstraint(1, before=frozenset({0}))
     for tokens in ((first,), (second,)):
-        assert run_search(dataclasses.replace(base, tokens=tokens))[0] == 1
+        one = dataclasses.replace(base, tokens=tokens)
+        assert solve_exhaustive(one, budget=0).decision is True
 
     # Together the two tokens ask each objective to come strictly first.
     cycle = dataclasses.replace(base, tokens=(first, second))
-    assert run_search(cycle)[0] == 0
+    assert solve_exhaustive(cycle, budget=0).decision is False
     line = PlaySequence(
         first_lead=1,
         tricks=(Trick(lead=1, plays=(Play(1, Card(2, 1)), Play(2, Card(1, 1)))),),
@@ -168,7 +165,9 @@ _PINNED = [
 def test_kernel_outputs_pinned():
     for row, (make, budget, status, nodes, first) in enumerate(_PINNED):
         inst = make()
-        got_status, witness, got_nodes, _ = run_search(inst, budget)
+        report = solve_exhaustive(inst, budget=budget)
+        got_status = {True: 1, False: 0, None: -1}[report.decision]
+        witness, got_nodes = report.witness, report.stats.nodes
         got_first = [tuple(p.card) for p in witness.tricks[0].plays] if witness else None
         assert (got_status, got_nodes, got_first) == (status, nodes, first), row
         if witness is not None:
@@ -184,9 +183,9 @@ def test_kernel_index_order(uneven_deal, monkeypatch):
     )
     rng = random.Random(3)
     for inst in (uneven_deal, reduce_hp_trump(gen_graph(5, 0.5, 2))):
-        run_search(inst)
+        solve_exhaustive(inst, budget=0)
         args = calls.pop()
-        cards = [c for hand in inst.hands for c in sorted(hand)]  # run_search's order
+        cards = [c for hand in inst.hands for c in sorted(hand)]  # the solver's order
         status, leads, tricks, nodes = search(*args)
         assert status == 1
         named = [[cards[c] for c in row] for row in tricks]

@@ -10,7 +10,6 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from crewsolver.exhaustive import run_search
 from crewsolver.model import (
     Card,
     Instance,
@@ -34,7 +33,7 @@ from crewsolver.serialize import (
     loads_instance,
     loads_witness,
 )
-from crewsolver.solvers import solve, solve_single_suit
+from crewsolver.solvers import solve, solve_exhaustive, solve_single_suit
 from crewsolver.verify import PlaySequence, Reason, _tokens_broken, verify_sequence
 from trick_replay import (
     HAND_EMPTY,
@@ -214,18 +213,18 @@ def test_verifier_agrees_with_trick_replay(inst, rnd):
 @given(deals(max_players=3, max_cards=8))
 @settings(deadline=None, max_examples=60)
 def test_exhaustive_witnesses_verify(inst):
-    status, witness, _, _ = run_search(inst, budget=200_000)
-    if status == 1:
-        assert verify_sequence(inst, witness).accepted
-    elif status == 0:
-        assert witness is None
+    report = solve_exhaustive(inst, budget=200_000)
+    if report.decision:
+        assert verify_sequence(inst, report.witness).accepted
+    else:
+        assert report.witness is None
 
 
 @given(single_suit_deals())
 @settings(deadline=None, max_examples=80)
 def test_single_suit_solver_matches_oracle(inst):
     report = solve_single_suit(inst)
-    oracle = run_search(inst)[0] == 1
+    oracle = solve_exhaustive(inst, budget=0).decision
     assert report.decision is oracle
     if report.decision:
         assert verify_sequence(inst, report.witness).accepted
@@ -273,7 +272,8 @@ def test_suit_permutation_invariance(inst, rnd):
     shuffled = suits[:]
     rnd.shuffle(shuffled)
     mapped = _permute_suits(inst, dict(zip(suits, shuffled)))
-    assert run_search(inst)[0] == run_search(mapped)[0]
+    decisions = [solve_exhaustive(d, budget=0).decision for d in (inst, mapped)]
+    assert decisions[0] == decisions[1]
 
 
 @given(deals(max_cards=8), st.data())
@@ -283,7 +283,8 @@ def test_value_remap_invariance(inst, data):
         st.lists(st.integers(1, 3), min_size=inst.k, max_size=inst.k)
     )
     mapped = _remap_values(inst, gaps)
-    assert run_search(inst)[0] == run_search(mapped)[0]
+    decisions = [solve_exhaustive(d, budget=0).decision for d in (inst, mapped)]
+    assert decisions[0] == decisions[1]
 
 
 @given(deals())
@@ -294,8 +295,8 @@ def test_instance_serialization_round_trip(inst):
 @given(deals(max_cards=8))
 @settings(deadline=None, max_examples=60)
 def test_witness_serialization_round_trip(inst):
-    status, witness, _, _ = run_search(inst, budget=200_000)
-    if status == 1 and witness.tricks:
+    witness = solve_exhaustive(inst, budget=200_000).witness
+    if witness is not None and witness.tricks:
         text = dumps_witness(witness)
         assert loads_witness(text) == witness
 

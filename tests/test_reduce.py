@@ -172,7 +172,7 @@ class TestPathSearch:
 
     def test_limit_guard(self):
         with pytest.raises(ValueError, match="limit"):
-            hp_bruteforce(Graph.from_edges(11, []), limit=10)
+            hp_bruteforce(Graph.from_edges(11, []))
 
 
 class TestPathWitness:

@@ -7,6 +7,7 @@ regression in either side shows up as a disagreement.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -22,6 +23,7 @@ from crewsolver.model import (
 )
 from crewsolver.serialize import dumps_witness
 from crewsolver.solvers import (
+    SOLVER_IDS,
     SolverMismatchError,
     solve,
     solve_exhaustive,
@@ -29,7 +31,7 @@ from crewsolver.solvers import (
     solve_single_suit_owned,
     solve_single_value,
 )
-from crewsolver.verify import verify_sequence
+from crewsolver.verify import PlaySequence, verify_sequence
 
 
 def _suit1(*hands: tuple[int, ...], objectives=(), **kw) -> Instance:
@@ -302,6 +304,26 @@ class TestDispatcher:
                 solve_exhaustive(uneven_deal)
         monkeypatch.setenv("CREW_BUDGET", "")
         assert solve_exhaustive(uneven_deal).decision is True
+
+    @pytest.mark.parametrize("first_lead", [None, 2])
+    def test_objective_free_deal_won_by_every_solver(self, uneven_deal, first_lead):
+        # Each solver gets an objective-free deal of a class it accepts.
+        deal_for = {
+            "single-value": _ones((1, 2), (3,), first_lead=first_lead),
+            "ss-owned": _suit1((5, 2), (4, 1), first_lead=first_lead),
+            "single-suit": _suit1((5, 2), (4, 1), first_lead=first_lead),
+            "exhaustive": dataclasses.replace(
+                uneven_deal, objectives=(), first_lead=first_lead
+            ),
+        }
+        assert tuple(deal_for) == SOLVER_IDS
+        for solver_id, deal in deal_for.items():
+            report = solve(deal, force=solver_id)
+            assert report.decision is True
+            assert report.witness == PlaySequence(first_lead or 1, ())
+            assert (report.stats.tricks, report.stats.nodes) == (0, 0)
+            assert (report.stats.kernel == "none") is (solver_id == "exhaustive")
+            assert solve(deal, force=solver_id, want_witness=False).witness is None
 
     def test_want_witness_false(self):
         inst = _suit1((5, 2), (4, 1), objectives=((5, 1),))
