@@ -29,9 +29,6 @@ from .solvers import (
     SolverMismatchError,
     solve,
     solve_exhaustive,
-    solve_single_suit,
-    solve_single_suit_owned,
-    solve_single_value,
 )
 from .reduction import (
     Graph,
@@ -98,9 +95,6 @@ __all__ = [
     "rotation",
     "solve",
     "solve_exhaustive",
-    "solve_single_suit",
-    "solve_single_suit_owned",
-    "solve_single_value",
     "trick_winner",
     "verify_sequence",
 ]

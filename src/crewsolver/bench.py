@@ -17,12 +17,7 @@ from time import perf_counter
 from .generate import gen_general, gen_single_suit, gen_single_value, gen_ss_owned
 from .model import Instance, Objective
 from .serialize import dumps_instance, dumps_witness, loads_instance
-from .solvers import (
-    solve_exhaustive,
-    solve_single_suit,
-    solve_single_value,
-    solve_single_suit_owned,
-)
+from .solvers import solve, solve_exhaustive
 from .verify import verify_sequence
 
 
@@ -56,7 +51,7 @@ def _big_witness_pair(n: int, players: int) -> tuple[Instance, object]:
         objectives=tuple(Objective(c, 1) for c in hand1),
         first_lead=None,
     )
-    report = solve_single_value(instance)
+    report = solve(instance, force="single-value")
     return instance, report.witness
 
 
@@ -70,7 +65,7 @@ def run_suite(quick: bool = False) -> list[BenchRow]:
         BenchRow(
             f"single-value solve n={inst_sv.n}",
             runs,
-            _clocked(lambda: solve_single_value(inst_sv), runs),
+            _clocked(lambda: solve(inst_sv, force="single-value"), runs),
             None,
             "",
         )
@@ -81,7 +76,7 @@ def run_suite(quick: bool = False) -> list[BenchRow]:
         BenchRow(
             f"ss-owned solve n={inst_own.n} p=8",
             runs,
-            _clocked(lambda: solve_single_suit_owned(inst_own), runs),
+            _clocked(lambda: solve(inst_own, force="ss-owned"), runs),
             None if quick else 2.0,
             "",
         )
@@ -97,7 +92,7 @@ def run_suite(quick: bool = False) -> list[BenchRow]:
             f"bytes={len(text)}",
         )
     )
-    witness = solve_single_suit_owned(inst_own).witness
+    witness = solve(inst_own, force="ss-owned").witness
     plays = sum(len(t.plays) for t in witness.tricks)
     rows.append(
         BenchRow(
@@ -114,7 +109,7 @@ def run_suite(quick: bool = False) -> list[BenchRow]:
         BenchRow(
             f"single-suit solve n={inst_ss.n} p=8 l={len(inst_ss.objectives)}",
             runs,
-            _clocked(lambda: solve_single_suit(inst_ss), runs),
+            _clocked(lambda: solve(inst_ss, force="single-suit"), runs),
             None if quick else 5.0,
             "",
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -85,12 +86,19 @@ def _emit(doc: dict, as_json: bool, text: str) -> None:
 def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     cls = classify(instance)
+    budget = args.budget
+    if budget is None:
+        raw = os.environ.get("CREW_BUDGET", "")
+        try:
+            budget = _budget(raw) if raw else 0
+        except argparse.ArgumentTypeError as exc:
+            raise _CliError(f"CREW_BUDGET {exc}") from exc
     try:
         report = solve_classified(
             instance,
             cls,
             force=args.force,
-            budget=args.budget,
+            budget=budget,
             want_witness=True,
         )
     except ValueError as exc:

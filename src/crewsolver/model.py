@@ -114,6 +114,11 @@ class Instance:
     first_lead: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("players", "k", "s", "trump_suit", "first_lead"):
+            value = getattr(self, name)
+            optional = name in ("trump_suit", "first_lead")
+            if not (_is_int(value) or (optional and value is None)):
+                raise InstanceError(f"{name} must be an integer: {value!r}")
         if self.players < 1:
             raise InstanceError("players must be >= 1")
         if self.k < 1 or self.s < 1:
@@ -172,8 +177,9 @@ class Instance:
             raise InstanceError(f"first lead out of range: {self.first_lead}")
         n_obj = len(self.objectives)
         for tok in self.tokens:
-            refs = {tok.objective, *tok.before, *tok.after}
-            for idx in refs:
+            for idx in (tok.objective, *tok.before, *tok.after):
+                if not _is_int(idx):
+                    raise InstanceError(f"token objective index must be an integer: {idx!r}")
                 if not (0 <= idx < n_obj):
                     raise InstanceError(f"token references objective {idx} of {n_obj}")
             if tok.objective in tok.before or tok.objective in tok.after:

@@ -1,19 +1,19 @@
 """Decision procedures.
 
-Four solvers share one report shape:
+Four solvers share one report shape, each named by its id in ``SOLVER_IDS``:
 
-* ``solve_single_value`` — every card has value 1, so a trick's leader always
+* ``"single-value"`` — every card has value 1, so a trick's leader always
   wins it and the lead never moves; the decision reduces to counting.
-* ``solve_single_suit_owned`` — one suit, every objective card starts in its
-  owner's hand; objectives are played highest-first while everyone else
-  slots in their best card strictly below, which needs exactly one trick per
+* ``"ss-owned"`` — one suit, every objective card starts in its owner's
+  hand; objectives are played highest-first while everyone else slots in
+  their best card strictly below, which needs exactly one trick per
   objective.  These are the single-suit deals with nothing to feed, so this
   runs the single-suit scheduler under the ``"ss-owned"`` label: with no
   externally held objective card it plans no extra tricks, each owner wins
   one trick per objective with that card as the threshold, and playing the
   thresholds from the highest down, every other seat discarding its largest
   card below, is exactly the highest-first procedure.
-* ``solve_single_suit`` — one suit, objective cards may start anywhere; the
+* ``"single-suit"`` — one suit, objective cards may start anywhere; the
   owner wins each target trick (playing the target itself when held,
   otherwise their highest card over the holder's feed), other holders feed,
   and the remaining players discard high-but-losing cards outside their
@@ -22,22 +22,22 @@ Four solvers share one report shape:
   the tricks are played with strictly falling thresholds, a card at or
   above one threshold never fits a later trick, so one forward index per
   hand finds every discard.
-* ``solve_exhaustive`` — complete memoized search; the only solver that
+* ``"exhaustive"`` — complete memoized search; the only solver that
   accepts tokens and a trump suit, and the oracle the others are tested
-  against.  ``_exhaustive`` encodes the deal as the integer arrays of the
-  search kernel, ``crewsolver._search_py``, and decodes the line it finds.
+  against (``solve_exhaustive``).  ``_exhaustive`` encodes the deal as the
+  integer arrays of the search kernel, ``crewsolver._search_py``, and
+  decodes the line it finds.
 
 ``solve`` dispatches on :func:`crewsolver.model.classify`, run once per
-call; the public ``solve_single_*`` functions classify to check their
-preconditions, and a ``force`` argument overrides the dispatch but still
-enforces them.  Every solver reports through ``_run``, which times the
-run, checks the exhaustive budget and decides a deal with no objectives
-before any solver body sees it: such a deal is won with no tricks.
+call; a ``force`` argument picks the solver by id but still enforces its
+class.  Every solver reports through ``_run``, which times the run, checks
+the exhaustive budget and decides a deal with no objectives before any
+solver body sees it: such a deal is won with no tricks.  Nothing here reads
+the environment: the node budget is an argument (0 = unlimited).
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter, neg
@@ -95,7 +95,7 @@ _ACCEPTS = {
 }
 
 
-def solve_single_value(instance: Instance, want_witness: bool = True) -> SolveReport:
+def _single_value(instance: Instance) -> tuple[bool, PlaySequence | None, int]:
     """Decide an all-values-1 deal.
 
     The leader's card is the only card of its suit, so the leader wins every
@@ -104,10 +104,6 @@ def solve_single_value(instance: Instance, want_witness: bool = True) -> SolveRe
     no hand holds more objective cards than the shortest hand has tricks to
     give.
     """
-    return solve_classified(instance, classify(instance), "single-value", None, want_witness)
-
-
-def _single_value(instance: Instance) -> tuple[bool, PlaySequence | None, int]:
     objs = instance.objectives
     owners = {o.owner for o in objs}
     if len(owners) > 1:
@@ -138,19 +134,7 @@ def _single_value(instance: Instance) -> tuple[bool, PlaySequence | None, int]:
     return True, PlaySequence(first_lead=leader, tricks=tuple(played)), tricks_needed
 
 
-def solve_single_suit_owned(instance: Instance, want_witness: bool = True) -> SolveReport:
-    """Decide a one-suit deal whose objective cards all start with their owners.
-
-    Objectives are taken highest-first: the owner plays the objective card
-    and every other player contributes their best non-objective card
-    strictly below it.  Succeeds iff every such contribution exists, and the
-    witness uses exactly one trick per objective.  This is the single-suit
-    scheduler with nothing to feed, and it runs as that.
-    """
-    return solve_classified(instance, classify(instance), "ss-owned", None, want_witness)
-
-
-def solve_single_suit(instance: Instance, want_witness: bool = True) -> SolveReport:
+def _single_suit(instance: Instance) -> tuple[bool, PlaySequence | None, int]:
     """Decide a one-suit deal with arbitrarily placed objective cards.
 
     With one suit the lead never constrains anyone, so trick order is
@@ -176,10 +160,6 @@ def solve_single_suit(instance: Instance, want_witness: bool = True) -> SolveRep
     every discard.  Every trick completes at least one objective, so a
     witness never needs more tricks than there are objectives.
     """
-    return solve_classified(instance, classify(instance), "single-suit", None, want_witness)
-
-
-def _single_suit(instance: Instance) -> tuple[bool, PlaySequence | None, int]:
     objs = instance.objectives
     suit = objs[0].card.suit
     targets = {o.card for o in objs}
@@ -260,20 +240,6 @@ def _single_suit(instance: Instance) -> tuple[bool, PlaySequence | None, int]:
     return True, PlaySequence(tricks[0].lead, tuple(tricks)), len(tricks)
 
 
-def _default_budget() -> int:
-    """``CREW_BUDGET`` as a node budget; unset or empty means 0 (unlimited)."""
-    raw = os.environ.get("CREW_BUDGET", "")
-    if not raw:
-        return 0
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise ValueError(f"CREW_BUDGET must be a non-negative integer, got {raw!r}")
-    return budget
-
-
 def _exhaustive(
     instance: Instance, budget: int
 ) -> tuple[bool | None, PlaySequence | None, int]:
@@ -324,15 +290,14 @@ def _exhaustive(
 
 def solve_exhaustive(
     instance: Instance,
-    budget: int | None = None,
+    budget: int = 0,
     want_witness: bool = True,
 ) -> SolveReport:
     """Decide any instance by complete search.
 
-    ``budget`` caps search nodes (``None`` reads ``CREW_BUDGET``, 0 or unset
-    means unlimited, a negative budget raises ``ValueError``); a
-    ``decision`` of ``None`` reports an exhausted budget rather than an
-    answer.
+    ``budget`` caps search nodes (0 means unlimited, a negative budget
+    raises ``ValueError``); a ``decision`` of ``None`` reports an exhausted
+    budget rather than an answer.
     """
     return _run(instance, "exhaustive", budget, want_witness)
 
@@ -350,7 +315,7 @@ SOLVER_IDS = tuple(_ACCEPTS)
 def solve(
     instance: Instance,
     force: str | None = None,
-    budget: int | None = None,
+    budget: int = 0,
     want_witness: bool = True,
 ) -> SolveReport:
     """Classify and dispatch; ``force`` picks a solver but may not widen it."""
@@ -361,7 +326,7 @@ def solve_classified(
     instance: Instance,
     cls: InstanceClass,
     force: str | None = None,
-    budget: int | None = None,
+    budget: int = 0,
     want_witness: bool = True,
 ) -> SolveReport:
     """``solve`` for a caller that already holds ``cls = classify(instance)``,
@@ -379,7 +344,7 @@ def solve_classified(
 def _run(
     instance: Instance,
     solver_id: str,
-    budget: int | None,
+    budget: int,
     want_witness: bool,
 ) -> SolveReport:
     """Run one solver on a deal of a class it accepts and report the result.
@@ -392,9 +357,7 @@ def _run(
     t0 = perf_counter()
     nodes, kernel = 0, ""
     if solver_id == "exhaustive":
-        if budget is None:
-            budget = _default_budget()
-        elif budget < 0:
+        if budget < 0:
             raise ValueError(f"budget must be a non-negative integer, got {budget}")
         kernel = "none"
     if not instance.objectives:

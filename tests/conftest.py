@@ -24,7 +24,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(autouse=True)
 def _no_ambient_budget(monkeypatch):
-    """A CREW_BUDGET left in the environment would truncate oracle runs."""
+    """A CREW_BUDGET left in the environment would truncate the in-process
+    ``crew solve`` runs of the CLI tests; the library never reads it."""
     monkeypatch.delenv("CREW_BUDGET", raising=False)
 
 

@@ -32,12 +32,7 @@ from crewsolver.reduction import (
     reduce_hp_tokens,
     reduce_hp_trump,
 )
-from crewsolver.solvers import (
-    solve_exhaustive,
-    solve_single_suit,
-    solve_single_suit_owned,
-    solve_single_value,
-)
+from crewsolver.solvers import solve, solve_exhaustive
 from crewsolver.verify import PlaySequence, Reason, verify_sequence
 
 pytestmark = pytest.mark.acceptance
@@ -51,14 +46,14 @@ def _all_graphs(vertices: int):
         )
 
 
-def _sweep(generator, solver, count=500):
+def _sweep(generator, solver_id, count=500):
     """Run ``count`` seeded instances through a solver and the oracle."""
     t0 = perf_counter()
     records = []
     mismatches = 0
     for seed in range(count):
         inst = generator(seed)
-        fast = solver(inst)
+        fast = solve(inst, force=solver_id)
         oracle = solve_exhaustive(inst, budget=0)
         if fast.decision is not oracle.decision:
             mismatches += 1
@@ -74,7 +69,7 @@ def single_value_sweep():
         l = seed % (min(n, 4) + 1)
         return gen_single_value(n, p, l, seed)
 
-    return _sweep(gen, solve_single_value)
+    return _sweep(gen, "single-value")
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +80,7 @@ def ss_owned_sweep():
         l = seed % (min(n, 4) + 1)
         return gen_ss_owned(n, p, l, seed)
 
-    return _sweep(gen, solve_single_suit_owned)
+    return _sweep(gen, "ss-owned")
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +91,7 @@ def single_suit_sweep():
         l = 1 + seed % 4
         return gen_single_suit(n, p, l, seed)
 
-    return _sweep(gen, solve_single_suit)
+    return _sweep(gen, "single-suit")
 
 
 @pytest.fixture(scope="module")
@@ -371,12 +366,12 @@ def test_criterion_8_verifier_mutations(acceptance_report, uneven_deal, trick_bu
 def test_criterion_9_performance(acceptance_report):
     owned = gen_ss_owned(100_000, 8, 1000, seed=1)
     t0 = perf_counter()
-    owned_report = solve_single_suit_owned(owned)
+    owned_report = solve(owned, force="ss-owned")
     owned_s = perf_counter() - t0
 
     external = gen_single_suit(10_000, 8, 1000, seed=2)
     t0 = perf_counter()
-    external_report = solve_single_suit(external)
+    external_report = solve(external, force="single-suit")
     external_s = perf_counter() - t0
 
     inst, seq = _big_witness_pair(10_000, 4)

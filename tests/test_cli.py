@@ -71,6 +71,12 @@ class TestSolve:
         monkeypatch.setenv("CREW_BUDGET", "")
         assert entry(["solve", deal_file]) == 0
 
+    def test_budget_flag_beats_env(self, deal_file, capsys, monkeypatch):
+        for raw in ("abc", "2"):
+            monkeypatch.setenv("CREW_BUDGET", raw)
+            assert entry(["solve", deal_file, "--budget", "0"]) == 0
+            assert "decision: true" in capsys.readouterr().out
+
     def test_witness_out_verifies(self, deal_file, tmp_path, capsys):
         out = tmp_path / "witness.json"
         assert entry(["solve", deal_file, "--witness-out", str(out)]) == 0

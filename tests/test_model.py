@@ -93,6 +93,24 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError, match="first lead out of range"):
             _two_hands([(1, 1)], [(2, 1)], first_lead=5)
 
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    @pytest.mark.parametrize("field", ["players", "k", "s", "trump_suit", "first_lead"])
+    def test_scalar_fields_must_be_int(self, field, bad):
+        fields = {"players": 1, "k": 1, "s": 1, "hands": (frozenset({Card(1, 1)}),)}
+        with pytest.raises(InstanceError, match=f"{field} must be an integer"):
+            Instance(**{**fields, field: bad})
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    @pytest.mark.parametrize("field", ["objective", "before", "after"])
+    def test_token_indices_must_be_int(self, field, bad):
+        objs = (Objective(Card(1, 1), 1), Objective(Card(2, 1), 2))
+        if field == "objective":
+            token = TokenConstraint(bad, before=frozenset({0}))
+        else:
+            token = TokenConstraint(0, **{field: frozenset({bad})})
+        with pytest.raises(InstanceError, match="index must be an integer"):
+            _two_hands([(1, 1)], [(2, 1)], objectives=objs, tokens=(token,))
+
     def test_token_validation(self):
         objs = (Objective(Card(1, 1), 1), Objective(Card(2, 1), 2))
         with pytest.raises(InstanceError, match="references objective"):

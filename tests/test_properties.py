@@ -33,7 +33,7 @@ from crewsolver.serialize import (
     loads_instance,
     loads_witness,
 )
-from crewsolver.solvers import solve, solve_exhaustive, solve_single_suit
+from crewsolver.solvers import solve, solve_exhaustive
 from crewsolver.verify import PlaySequence, Reason, _tokens_broken, verify_sequence
 from trick_replay import (
     HAND_EMPTY,
@@ -223,7 +223,7 @@ def test_exhaustive_witnesses_verify(inst):
 @given(single_suit_deals())
 @settings(deadline=None, max_examples=80)
 def test_single_suit_solver_matches_oracle(inst):
-    report = solve_single_suit(inst)
+    report = solve(inst, force="single-suit")
     oracle = solve_exhaustive(inst, budget=0).decision
     assert report.decision is oracle
     if report.decision:

@@ -7,11 +7,14 @@ regression in either side shows up as a disagreement.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import pytest
 
+import crewsolver
 from crewsolver.generate import gen_single_suit, gen_ss_owned
 from crewsolver.model import (
     Card,
@@ -27,9 +30,6 @@ from crewsolver.solvers import (
     SolverMismatchError,
     solve,
     solve_exhaustive,
-    solve_single_suit,
-    solve_single_suit_owned,
-    solve_single_value,
 )
 from crewsolver.verify import PlaySequence, verify_sequence
 
@@ -54,13 +54,13 @@ def _ones(*hands: tuple[int, ...], objectives=(), **kw) -> Instance:
 
 class TestSingleValue:
     def test_no_objectives(self):
-        report = solve_single_value(_ones((1, 2), (3, 4)))
+        report = solve(_ones((1, 2), (3, 4)), force="single-value")
         assert report.decision is True
         assert report.witness is not None and report.witness.tricks == ()
 
     def test_single_owner_wins(self):
         inst = _ones((1, 2), (3, 4), objectives=((3, 1), (4, 1)))
-        report = solve_single_value(inst)
+        report = solve(inst, force="single-value")
         assert report.decision is True
         assert verify_sequence(inst, report.witness).accepted
         # Every trick of a winning line here is taken by the owner.
@@ -69,44 +69,44 @@ class TestSingleValue:
 
     def test_two_owners_false(self):
         inst = _ones((1, 2), (3, 4), objectives=((3, 1), (1, 2)))
-        assert solve_single_value(inst).decision is False
+        assert solve(inst, force="single-value").decision is False
 
     def test_crowded_hand_false(self):
         inst = _ones((1,), (2, 3), objectives=((2, 1), (3, 1)))
-        assert solve_single_value(inst).decision is False
+        assert solve(inst, force="single-value").decision is False
 
     def test_fixed_foreign_lead_false(self):
         inst = _ones((1, 2), (3, 4), objectives=((3, 1),), first_lead=2)
-        assert solve_single_value(inst).decision is False
+        assert solve(inst, force="single-value").decision is False
         owned_lead = _ones((1, 2), (3, 4), objectives=((3, 1),), first_lead=1)
-        assert solve_single_value(owned_lead).decision is True
+        assert solve(owned_lead, force="single-value").decision is True
 
     def test_wrong_class_rejected(self, uneven_deal):
         with pytest.raises(SolverMismatchError):
-            solve_single_value(uneven_deal)
+            solve(uneven_deal, force="single-value")
 
 
 class TestSingleSuitOwned:
     def test_no_objectives(self):
-        report = solve_single_suit_owned(_suit1((5, 2), (4, 1)))
+        report = solve(_suit1((5, 2), (4, 1)), force="ss-owned")
         assert report.decision is True and report.witness.tricks == ()
 
     def test_simple_win(self):
         inst = _suit1((5, 2), (4, 1), objectives=((5, 1),))
-        report = solve_single_suit_owned(inst)
+        report = solve(inst, force="ss-owned")
         assert report.decision is True
         assert len(report.witness.tricks) == 1
         assert verify_sequence(inst, report.witness).accepted
 
     def test_no_card_under(self):
         inst = _suit1((3,), (4,), objectives=((3, 1),))
-        assert solve_single_suit_owned(inst).decision is False
+        assert solve(inst, force="ss-owned").decision is False
 
     def test_objective_cards_excluded_from_filler(self):
         # In the (9,1) trick player 2 must keep their own objective card
         # (8,1) back and feed (2,1) instead.
         inst = _suit1((9, 1), (8, 2), objectives=((9, 1), (8, 2)))
-        report = solve_single_suit_owned(inst)
+        report = solve(inst, force="ss-owned")
         assert report.decision is True
         first = report.witness.tricks[0]
         played_by_2 = [p.card for p in first.plays if p.player == 2]
@@ -118,7 +118,7 @@ class TestSingleSuitOwned:
             (9, 6, 3), (8, 5, 2), (7, 4, 1),
             objectives=((9, 1), (8, 2), (7, 3)),
         )
-        report = solve_single_suit_owned(inst)
+        report = solve(inst, force="ss-owned")
         assert report.decision is True
         assert len(report.witness.tricks) == 3
         assert verify_sequence(inst, report.witness).accepted
@@ -127,7 +127,7 @@ class TestSingleSuitOwned:
 class TestSingleSuit:
     def test_fed_objective(self):
         inst = _suit1((9, 1), (5, 2), objectives=((5, 1),))
-        report = solve_single_suit(inst)
+        report = solve(inst, force="single-suit")
         assert report.decision is True
         trick = report.witness.tricks[0]
         assert {p.card for p in trick.plays} == {Card(9, 1), Card(5, 1)}
@@ -135,11 +135,11 @@ class TestSingleSuit:
 
     def test_winner_too_small(self):
         inst = _suit1((4, 1), (5, 2), objectives=((5, 1),))
-        assert solve_single_suit(inst).decision is False
+        assert solve(inst, force="single-suit").decision is False
 
     def test_owner_holds_card(self):
         inst = _suit1((5,), (1,), objectives=((5, 1),))
-        report = solve_single_suit(inst)
+        report = solve(inst, force="single-suit")
         assert report.decision is True
         assert verify_sequence(inst, report.witness).accepted
 
@@ -153,7 +153,7 @@ class TestSingleSuit:
             (2, 4, 6),
             objectives=((2, 2), (6, 2), (1, 2)),
         )
-        report = solve_single_suit(inst)
+        report = solve(inst, force="single-suit")
         assert report.decision is True
         assert len(report.witness.tricks) <= 3
         assert verify_sequence(inst, report.witness).accepted
@@ -163,7 +163,7 @@ class TestSingleSuit:
         # Player 2's objective card sits with player 1 while player 2 holds
         # no objective of their own: an extra winning trick must be staged.
         inst = _suit1((2, 9), (5, 8), objectives=((2, 2),))
-        report = solve_single_suit(inst)
+        report = solve(inst, force="single-suit")
         assert report.decision is True
         assert len(report.witness.tricks) <= 1
         assert verify_sequence(inst, report.witness).accepted
@@ -171,8 +171,8 @@ class TestSingleSuit:
 
     def test_accepts_owned_class_and_agrees(self):
         inst = _suit1((9, 6, 3), (8, 5, 2), objectives=((9, 1), (8, 2)))
-        report = solve_single_suit(inst)
-        owned = solve_single_suit_owned(inst)
+        report = solve(inst, force="single-suit")
+        owned = solve(inst, force="ss-owned")
         assert report.decision is owned.decision is True
         assert verify_sequence(inst, report.witness).accepted
 
@@ -180,13 +180,13 @@ class TestSingleSuit:
         inst = _suit1(
             (1, 3, 5, 7), (2, 4, 6), objectives=((2, 2), (6, 2), (1, 2))
         )
-        report = solve_single_suit(inst)
+        report = solve(inst, force="single-suit")
         assert report.decision is True
         assert len(report.witness.tricks) <= len(inst.objectives)
 
     def test_wrong_class_rejected(self, uneven_deal):
         with pytest.raises(SolverMismatchError):
-            solve_single_suit(uneven_deal)
+            solve(uneven_deal, force="single-suit")
 
 
 # (decision, stats.tricks, first trick's cards, trick count) as the separate
@@ -221,14 +221,10 @@ def test_one_suit_outputs_pinned():
         inst = make()
         if classify(inst) is InstanceClass.SINGLE_SUIT_OWNED:
             solver_id = "ss-owned"
-            reports = [
-                solve(inst),
-                solve(inst, force="ss-owned"),
-                solve_single_suit_owned(inst),
-            ]
+            reports = [solve(inst), solve(inst, force="ss-owned")]
         else:
             solver_id = "single-suit"
-            reports = [solve(inst), solve_single_suit(inst)]
+            reports = [solve(inst), solve(inst, force="single-suit")]
         for report in reports:
             witness = report.witness
             got_first = [tuple(p.card) for p in witness.tricks[0].plays] if witness else None
@@ -295,15 +291,9 @@ class TestDispatcher:
         assert report.decision is None
         assert report.witness is None
 
-    def test_bad_budget_rejected(self, uneven_deal, monkeypatch):
+    def test_bad_budget_rejected(self, uneven_deal):
         with pytest.raises(ValueError, match="non-negative"):
             solve_exhaustive(uneven_deal, budget=-1)
-        for raw in ("abc", "-5", "1.5"):
-            monkeypatch.setenv("CREW_BUDGET", raw)
-            with pytest.raises(ValueError, match="CREW_BUDGET"):
-                solve_exhaustive(uneven_deal)
-        monkeypatch.setenv("CREW_BUDGET", "")
-        assert solve_exhaustive(uneven_deal).decision is True
 
     @pytest.mark.parametrize("first_lead", [None, 2])
     def test_objective_free_deal_won_by_every_solver(self, uneven_deal, first_lead):
@@ -367,8 +357,21 @@ class TestDispatcher:
         ]:
             with pytest.raises(SolverMismatchError, match=repr(solver_id)):
                 solve(inst, force=solver_id)
-        with pytest.raises(SolverMismatchError):
-            solve_single_suit_owned(external)
-        with pytest.raises(SolverMismatchError):
-            solve_single_value(owned)
         assert solve(owned, force="single-suit").decision is True
+
+
+def test_only_cli_imports_os():
+    """The library reads no environment: a node budget reaches a solver only
+    as an argument, and ``CREW_BUDGET`` is read by ``crew solve`` alone."""
+    importers = set()
+    for path in Path(crewsolver.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "os" for name in names):
+                importers.add(path.name)
+    assert importers == {"cli.py"}
