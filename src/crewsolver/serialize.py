@@ -14,9 +14,10 @@ the specification, and the tests pin the dumps to it byte for byte.  The
 dumps build that text from fixed ``%``-templates, one per hand card,
 objective and play, because ``json.dumps`` with an indent never uses its C
 encoder; ``tokens`` and ``meta`` still go through ``json.dumps``.  The
-loads check each card and play array in bulk with C builtins, and only on
-an array that fails do they re-run the per-item checks that name the
-offending item.
+loads check every card, objective and play array with one bulk test of C
+builtins, and walk only an array that fails it item by item, in field
+order, so the error names the first bad field.  A witness's plays are
+bulk-tested as one array chained over all tricks.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Any
 
-from .model import Card, Instance, Objective, Play, TokenConstraint, Trick
+from .model import Card, Instance, Objective, Play, TokenConstraint, Trick, _is_int
 from .verify import PlaySequence
 
 # Each item at its fixed depth in the canonical document.
@@ -52,19 +53,10 @@ class FormatError(ValueError):
     """A document is structurally unusable (not merely an invalid instance)."""
 
 
-def _card_from_dict(obj: Any, where: str) -> Card:
-    if not isinstance(obj, dict) or set(obj) != {"v", "s"}:
-        raise FormatError(f"{where}: expected a card object {{'v': int, 's': int}}")
-    v, s = obj["v"], obj["s"]
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (v, s)):
-        raise FormatError(f"{where}: card fields must be integers")
-    return Card(v, s)
-
-
 def _expect_int(obj: Any, where: str, optional: bool = False) -> int | None:
     if optional and obj is None:
         return None
-    if not isinstance(obj, int) or isinstance(obj, bool):
+    if not _is_int(obj):
         raise FormatError(f"{where}: expected an integer")
     return obj
 
@@ -74,47 +66,59 @@ def _all(kind: type, items) -> bool:
     return set(map(type, items)) <= {kind}
 
 
-def _columns(docs: list, keys: tuple[str, str]) -> list[list] | None:
-    """The values under each of ``keys`` across ``docs``, or None unless
-    every item is an object with exactly those two keys."""
-    if not (_all(dict, docs) and set(map(len, docs)) <= {2}):
+# The document keys of each item kind, in field order.
+_KEYS = {Card: ("v", "s"), Objective: Objective._fields, Play: Play._fields}
+
+
+def _bulk(docs: list, kind: type) -> list | None:
+    """The ``kind`` items of an array of item objects, checked in bulk with C
+    builtins, or None unless every item has exactly the document shape."""
+    keys = _KEYS[kind]
+    if not (_all(dict, docs) and set(map(len, docs)) <= {len(keys)}):
         return None
     try:
-        return [list(map(itemgetter(key), docs)) for key in keys]
+        columns = [list(map(itemgetter(key), docs)) for key in keys]
     except KeyError:
         return None
-
-
-def _bulk_cards(docs: list) -> list[Card] | None:
-    """The cards of an array of card objects, or None unless every item is
-    exactly ``{"v": int, "s": int}``."""
-    columns = _columns(docs, ("v", "s"))
-    if columns is None or not (_all(int, columns[0]) and _all(int, columns[1])):
-        return None
-    return list(map(tuple.__new__, repeat(Card), zip(*columns)))
-
-
-def _bulk_with_card(docs: list, kind: type) -> list | None:
-    """``kind`` items (an integer and a card: ``Objective``, ``Play``) from an
-    array of objects keyed by ``kind``'s field names, or None unless every
-    item has exactly that shape."""
-    columns = _columns(docs, kind._fields)
-    if columns is None:
-        return None
-    at = kind._fields.index("card")
-    cards = _bulk_cards(columns[at])
-    if cards is None or not _all(int, columns[1 - at]):
-        return None
-    columns[at] = cards
+    for at, key in enumerate(keys):
+        if key == "card":
+            columns[at] = _bulk(columns[at], Card)
+            if columns[at] is None:
+                return None
+        elif not _all(int, columns[at]):
+            return None
     return list(map(tuple.__new__, repeat(kind), zip(*columns)))
 
 
-def _card_array(docs: list, where: str) -> list[Card]:
-    """The cards of an array of card objects; ``where`` names it in errors."""
-    cards = _bulk_cards(docs)
-    if cards is None:
-        cards = [_card_from_dict(c, f"{where}[{j}]") for j, c in enumerate(docs)]
-    return cards
+def _item(doc: Any, kind: type, where: str) -> tuple:
+    """One ``kind`` item, checked field by field in ``kind._fields`` order;
+    ``where`` names it in errors."""
+    keys = _KEYS[kind]
+    if not isinstance(doc, dict) or set(doc) != set(keys):
+        if kind is Card:
+            raise FormatError(f"{where}: expected a card object {{'v': int, 's': int}}")
+        raise FormatError(f"{where}: expected {{{', '.join(map(repr, keys))}}}")
+    if kind is Card:
+        if not all(map(_is_int, doc.values())):
+            raise FormatError(f"{where}: card fields must be integers")
+        return Card(doc["v"], doc["s"])
+    return kind(
+        *(
+            _item(doc[key], Card, f"{where}.card")
+            if key == "card"
+            else _expect_int(doc[key], f"{where}.{key}")
+            for key in keys
+        )
+    )
+
+
+def _items(docs: list, kind: type, where: str) -> list:
+    """The ``kind`` items of the array ``where``: in bulk, or on failure item
+    by item so that the error names the first bad one."""
+    items = _bulk(docs, kind)
+    if items is None:
+        items = [_item(doc, kind, f"{where}[{j}]") for j, doc in enumerate(docs)]
+    return items
 
 
 def dict_to_instance(doc: Any) -> Instance:
@@ -129,7 +133,7 @@ def dict_to_instance(doc: Any) -> Instance:
     ):
         raise FormatError("'hands' must be an array of card arrays")
     hands = tuple(
-        frozenset(_card_array(hand, f"hands[{i}]")) for i, hand in enumerate(hands_doc)
+        frozenset(_items(hand, Card, f"hands[{i}]")) for i, hand in enumerate(hands_doc)
     )
     for i, (parsed, raw) in enumerate(zip(hands, hands_doc)):
         if len(parsed) != len(raw):
@@ -137,18 +141,7 @@ def dict_to_instance(doc: Any) -> Instance:
     objs_doc = doc["objectives"]
     if not isinstance(objs_doc, list):
         raise FormatError("'objectives' must be an array")
-    objectives = _bulk_with_card(objs_doc, Objective)
-    if objectives is None:
-        objectives = []
-        for i, o in enumerate(objs_doc):
-            if not isinstance(o, dict) or set(o) != {"card", "owner"}:
-                raise FormatError(f"objectives[{i}]: expected {{'card', 'owner'}}")
-            objectives.append(
-                Objective(
-                    _card_from_dict(o["card"], f"objectives[{i}].card"),
-                    _expect_int(o["owner"], f"objectives[{i}].owner"),
-                )
-            )
+    objectives = _items(objs_doc, Objective, "objectives")
     tokens_doc = doc.get("tokens", [])
     if not isinstance(tokens_doc, list):
         raise FormatError("'tokens' must be an array")
@@ -227,7 +220,7 @@ def dumps_instance(instance: Instance, meta: dict | None = None) -> str:
 def _parse_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise FormatError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError("invalid JSON: nested too deeply") from exc
@@ -244,26 +237,6 @@ def _trick(t: int, plays: tuple[Play, ...]) -> Trick:
         raise FormatError(f"tricks[{t}]: {exc}") from exc
 
 
-def _tricks_from_dicts(tricks_doc: list) -> list[Trick]:
-    """The tricks, checked one play at a time in document order."""
-    tricks = []
-    for t, trick_doc in enumerate(tricks_doc):
-        if not isinstance(trick_doc, list) or not trick_doc:
-            raise FormatError(f"tricks[{t}]: expected a non-empty play array")
-        plays = []
-        for j, play_doc in enumerate(trick_doc):
-            if not isinstance(play_doc, dict) or set(play_doc) != {"player", "card"}:
-                raise FormatError(f"tricks[{t}][{j}]: expected {{'player', 'card'}}")
-            plays.append(
-                Play(
-                    _expect_int(play_doc["player"], f"tricks[{t}][{j}].player"),
-                    _card_from_dict(play_doc["card"], f"tricks[{t}][{j}].card"),
-                )
-            )
-        tricks.append(_trick(t, tuple(plays)))
-    return tricks
-
-
 def dict_to_witness(doc: Any) -> PlaySequence:
     """Rebuild a play sequence; rotation order is re-derived and enforced."""
     if not isinstance(doc, dict) or "lead" not in doc or "tricks" not in doc:
@@ -272,10 +245,10 @@ def dict_to_witness(doc: Any) -> PlaySequence:
     tricks_doc = doc["tricks"]
     if not isinstance(tricks_doc, list):
         raise FormatError("'tricks' must be an array")
-    # The plays of all tricks are checked as one array.
+    # The plays of all tricks are checked as one array, else trick by trick.
     tricks = None
     if _all(list, tricks_doc) and all(tricks_doc):
-        plays = _bulk_with_card(list(chain.from_iterable(tricks_doc)), Play)
+        plays = _bulk(list(chain.from_iterable(tricks_doc)), Play)
         if plays is not None:
             it = iter(plays)
             tricks = [
@@ -283,7 +256,11 @@ def dict_to_witness(doc: Any) -> PlaySequence:
                 for t, trick_doc in enumerate(tricks_doc)
             ]
     if tricks is None:
-        tricks = _tricks_from_dicts(tricks_doc)
+        tricks = []
+        for t, trick_doc in enumerate(tricks_doc):
+            if not isinstance(trick_doc, list) or not trick_doc:
+                raise FormatError(f"tricks[{t}]: expected a non-empty play array")
+            tricks.append(_trick(t, tuple(_items(trick_doc, Play, f"tricks[{t}]"))))
     try:
         return PlaySequence(first_lead=lead, tricks=tuple(tricks))
     except ValueError as exc:

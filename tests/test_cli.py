@@ -114,6 +114,13 @@ class TestSolve:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "invalid JSON" in lines[0]
 
+    def test_oversized_integer_is_format_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"players": %s}' % ("1" * 5_000))
+        assert entry(["solve", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [lines[0]] and lines[0].startswith(f"error: {path}: invalid JSON")
+
     def test_crash_is_error_not_no(self, tmp_path, capsys):
         # The recursive kernel runs out of stack on a 600-trick deal.
         from crewsolver.generate import gen_general
@@ -178,6 +185,13 @@ class TestVerify:
         path.write_text("[]")
         assert entry(["verify", deal_file, str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_oversized_integer_in_witness_is_format_error(self, deal_file, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"lead": %s, "tricks": []}' % ("1" * 5_000))
+        assert entry(["verify", deal_file, str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [lines[0]] and lines[0].startswith(f"error: {path}: invalid JSON")
 
     def test_non_utf8_witness_names_file(self, deal_file, tmp_path, capsys):
         path = tmp_path / "latin1.json"

@@ -99,6 +99,14 @@ class TestInstanceErrors:
         with pytest.raises(FormatError, match="invalid JSON"):
             loads_witness(deep)
 
+    def test_oversized_integer(self):
+        # Past CPython's integer string limit json.loads raises a bare ValueError.
+        huge = "1" * 5_000
+        with pytest.raises(FormatError, match="invalid JSON: Exceeds the limit"):
+            loads_instance('{"players": %s}' % huge)
+        with pytest.raises(FormatError, match="invalid JSON: Exceeds the limit"):
+            loads_witness('{"lead": %s, "tricks": []}' % huge)
+
     def test_not_object(self):
         with pytest.raises(FormatError, match="JSON object"):
             self._load([1, 2])
@@ -338,6 +346,13 @@ class TestLateBadItem:
             "objectives[173].card: expected a card object {'v': int, 's': int}"
         )
 
+    def test_objective_card_checked_before_owner(self):
+        doc = self._instance_doc()
+        doc["objectives"][173] = {"card": {"v": True, "s": 1}, "owner": "1"}
+        assert self._message(loads_instance, doc) == (
+            "objectives[173].card: card fields must be integers"
+        )
+
     def _witness_doc(self, tricks=700, players=3):
         seq = PlaySequence(
             first_lead=1,
@@ -362,6 +377,11 @@ class TestLateBadItem:
         doc["tricks"][611][2] = {"player": 3, "card": {"v": 1, "s": 1}, "extra": 1}
         assert self._message(loads_witness, doc) == "tricks[611][2]: expected {'player', 'card'}"
         doc["tricks"][611][2] = {"player": "3", "card": {"v": 1, "s": 1}}
+        assert self._message(loads_witness, doc) == "tricks[611][2].player: expected an integer"
+
+    def test_play_player_checked_before_card(self):
+        doc = self._witness_doc()
+        doc["tricks"][611][2] = {"player": "3", "card": {"v": 1, "s": False}}
         assert self._message(loads_witness, doc) == "tricks[611][2].player: expected an integer"
 
     def test_trick_shape_and_rotation_order(self):

@@ -81,10 +81,6 @@ class TestSingleValue:
         owned_lead = _ones((1, 2), (3, 4), objectives=((3, 1),), first_lead=1)
         assert solve(owned_lead, force="single-value").decision is True
 
-    def test_wrong_class_rejected(self, uneven_deal):
-        with pytest.raises(SolverMismatchError):
-            solve(uneven_deal, force="single-value")
-
 
 class TestSingleSuitOwned:
     def test_no_objectives(self):
