@@ -5,12 +5,18 @@ time target carry the target for comparison; the ``loads_instance`` and
 ``dumps_witness`` rows time the document I/O around the ss-owned solve,
 which on big polynomial deals costs more than the solve; the exhaustive row
 runs a general deal that no search decides within its fixed node budget,
-and reports the node count, nodes per second and decision beside its time.
+and reports the node count, nodes per second and decision beside its time;
+the last row times whole ``crew solve`` child processes on a small deal, so
+the start-up cost (interpreter plus imports) shows beside the work.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from statistics import median
 from time import perf_counter
 
@@ -53,6 +59,38 @@ def _big_witness_pair(n: int, players: int) -> tuple[Instance, object]:
     )
     report = solve(instance, force="single-value")
     return instance, report.witness
+
+
+def _cli_row() -> BenchRow:
+    """Median of 5 child ``python -m crewsolver solve`` calls on a
+    12-card general deal, with the bare interpreter's and
+    ``import crewsolver.cli``'s shares in the note."""
+    runs = 5
+    deal = gen_general(12, 3, 3, seed=0)
+    # ``-m`` and ``-c`` put the working directory first on ``sys.path``, so
+    # each child imports this copy of the package.
+    home = Path(__file__).resolve().parent.parent
+
+    def child(*argv: str) -> int:
+        return subprocess.run(
+            [sys.executable, *argv], cwd=home, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        ).returncode
+
+    exits = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "deal.json"
+        path.write_text(dumps_instance(deal), encoding="utf-8")
+        median_s = _clocked(lambda: exits.append(child("-m", "crewsolver", "solve", str(path))), runs)
+    interp_s = _clocked(lambda: child("-c", "pass"), runs)
+    import_s = _clocked(lambda: child("-c", "import crewsolver.cli"), runs)
+    return BenchRow(
+        f"crew solve child general n={deal.n}",
+        runs,
+        median_s,
+        None,
+        f"exit={exits[-1]} interpreter={1000 * interp_s:.1f}ms "
+        f"import crewsolver.cli={1000 * (import_s - interp_s):.1f}ms",
+    )
 
 
 def run_suite(quick: bool = False) -> list[BenchRow]:
@@ -143,6 +181,7 @@ def run_suite(quick: bool = False) -> list[BenchRow]:
             f"decision={report.decision}",
         )
     )
+    rows.append(_cli_row())
     return rows
 
 

@@ -16,16 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import format_rows, run_suite
-from .generate import GENERATORS, gen_graph
-from .model import InstanceError, classify
-from .reduction import (
-    format_graph,
-    parse_graph,
-    reduce_hp,
-    reduce_hp_tokens,
-    reduce_hp_trump,
-)
+from .model import InstanceClass, InstanceError, classify
 from .serialize import (
     FormatError,
     dumps_instance,
@@ -163,6 +154,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduction import parse_graph, reduce_hp, reduce_hp_tokens, reduce_hp_trump
+
     try:
         graph = parse_graph(_read(args.graph))
     except ValueError as exc:
@@ -203,6 +196,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import GENERATORS, gen_graph
+    from .reduction import format_graph
+
     if args.what == "graph":
         try:
             graph = gen_graph(args.vertices, args.edge_prob, args.seed)
@@ -241,6 +237,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import format_rows, run_suite
+
     rows = run_suite(quick=args.quick)
     doc = [
         {
@@ -290,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance or graph")
     p_gen.add_argument(
-        "what", choices=(*GENERATORS, "graph"), help="instance class or 'graph'"
+        "what", choices=(*(c.value for c in InstanceClass), "graph"), help="instance class or 'graph'"
     )
     p_gen.add_argument("-n", "--cards", type=int, default=40)
     p_gen.add_argument("-p", "--players", type=int, default=4)
@@ -315,9 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def entry(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -153,6 +153,24 @@ class TestSolve:
         assert len(calls) == 1
 
 
+class TestParser:
+    def test_build_error_exits_two(self, monkeypatch, capsys):
+        import crewsolver.cli as cli
+
+        def broken():
+            raise RuntimeError("no parser")
+
+        monkeypatch.setattr(cli, "_build_parser", broken)
+        assert entry(["solve", "deal.json"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: RuntimeError: no parser"]
+
+    def test_usage_error_still_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            entry(["solve"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: instance" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_accepted(self, deal_file, witness_file, capsys):
         assert entry(["verify", deal_file, witness_file]) == 0
@@ -329,3 +347,13 @@ class TestBench:
         rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
         assert "loads_instance ss-owned n=20000" in rows
         assert rows["dumps_witness ss-owned n=20000"]["note"] == "tricks=400 plays=3200"
+
+    def test_quick_cli_row(self, capsys):
+        assert entry(["bench", "--quick", "--json"]) == 0
+        rows = [r for r in json.loads(capsys.readouterr().out) if r["name"].startswith("crew solve child")]
+        assert len(rows) == 1
+        row = rows[0]
+        assert row["runs"] == 5 and row["median_s"] > 0
+        # The child decided the deal (exit 1: not winnable) rather than crashing.
+        assert row["note"].startswith("exit=1 interpreter=")
+        assert "import crewsolver.cli=" in row["note"]
