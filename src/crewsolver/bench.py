@@ -1,7 +1,9 @@
 """Wall-clock benchmark suite.
 
-Informational only — no pass/fail.  Rows that correspond to an acceptance
-time target carry the target for comparison; the ``loads_instance`` and
+Informational only — no pass/fail.  One generator yields every row that
+times a single call, building the row's input just before it is timed, and
+one loop times them.  Rows that correspond to an acceptance time target
+carry the target for comparison; the ``loads_instance`` and
 ``dumps_witness`` rows time the document I/O around the ss-owned solve,
 which on big polynomial deals costs more than the solve; the exhaustive row
 runs a general deal that no search decides within its fixed node budget,
@@ -15,7 +17,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import median
 from time import perf_counter
@@ -48,13 +50,9 @@ def _clocked(fn, runs: int) -> float:
 def _big_witness_pair(n: int, players: int) -> tuple[Instance, object]:
     """A guaranteed-true deal whose witness replays every one of ``n`` cards."""
     instance = gen_single_value(n, players, 0, seed=5)
-    hand1 = sorted(instance.hands[0])
-    instance = Instance(
-        players=instance.players,
-        k=instance.k,
-        s=instance.s,
-        hands=instance.hands,
-        objectives=tuple(Objective(c, 1) for c in hand1),
+    instance = replace(
+        instance,
+        objectives=tuple(Objective(c, 1) for c in sorted(instance.hands[0])),
         first_lead=None,
     )
     report = solve(instance, force="single-value")
@@ -93,76 +91,51 @@ def _cli_row() -> BenchRow:
     )
 
 
-def run_suite(quick: bool = False) -> list[BenchRow]:
+def _timed_rows(quick: bool):
+    """Each row timed by one call, as ``(name, call, target_s, note)`` with
+    the full-size target; its input is built just before it is timed."""
     scale = 5 if quick else 1
-    runs = 3
-    rows: list[BenchRow] = []
-
     inst_sv = gen_single_value(100_000 // scale, 8, 40, seed=1)
-    rows.append(
-        BenchRow(
-            f"single-value solve n={inst_sv.n}",
-            runs,
-            _clocked(lambda: solve(inst_sv, force="single-value"), runs),
-            None,
-            "",
-        )
-    )
+    yield f"single-value solve n={inst_sv.n}", lambda: solve(inst_sv, force="single-value"), None, ""
 
     inst_own = gen_ss_owned(100_000 // scale, 8, 2_000 // scale, seed=2)
-    rows.append(
-        BenchRow(
-            f"ss-owned solve n={inst_own.n} p=8",
-            runs,
-            _clocked(lambda: solve(inst_own, force="ss-owned"), runs),
-            None if quick else 2.0,
-            "",
-        )
-    )
+    yield f"ss-owned solve n={inst_own.n} p=8", lambda: solve(inst_own, force="ss-owned"), 2.0, ""
 
     text = dumps_instance(inst_own)
-    rows.append(
-        BenchRow(
-            f"loads_instance ss-owned n={inst_own.n}",
-            runs,
-            _clocked(lambda: loads_instance(text), runs),
-            None,
-            f"bytes={len(text)}",
-        )
+    yield (
+        f"loads_instance ss-owned n={inst_own.n}",
+        lambda: loads_instance(text),
+        None,
+        f"bytes={len(text)}",
     )
     witness = solve(inst_own, force="ss-owned").witness
     plays = sum(len(t.plays) for t in witness.tricks)
-    rows.append(
-        BenchRow(
-            f"dumps_witness ss-owned n={inst_own.n}",
-            runs,
-            _clocked(lambda: dumps_witness(witness), runs),
-            None,
-            f"tricks={len(witness.tricks)} plays={plays}",
-        )
+    yield (
+        f"dumps_witness ss-owned n={inst_own.n}",
+        lambda: dumps_witness(witness),
+        None,
+        f"tricks={len(witness.tricks)} plays={plays}",
     )
 
     inst_ss = gen_single_suit(10_000 // scale, 8, 1_000 // scale, seed=3)
-    rows.append(
-        BenchRow(
-            f"single-suit solve n={inst_ss.n} p=8 l={len(inst_ss.objectives)}",
-            runs,
-            _clocked(lambda: solve(inst_ss, force="single-suit"), runs),
-            None if quick else 5.0,
-            "",
-        )
+    yield (
+        f"single-suit solve n={inst_ss.n} p=8 l={len(inst_ss.objectives)}",
+        lambda: solve(inst_ss, force="single-suit"),
+        5.0,
+        "",
     )
 
     inst_v, witness = _big_witness_pair(10_000 // scale, 4)
-    rows.append(
-        BenchRow(
-            f"verify n={inst_v.n}",
-            runs,
-            _clocked(lambda: verify_sequence(inst_v, witness), runs),
-            None if quick else 2.0,
-            "",
-        )
-    )
+    yield f"verify n={inst_v.n}", lambda: verify_sequence(inst_v, witness), 2.0, ""
+
+
+def run_suite(quick: bool = False) -> list[BenchRow]:
+    runs = 3
+    # The quick sizes are smaller than the acceptance targets assume.
+    rows = [
+        BenchRow(name, runs, _clocked(call, runs), None if quick else target_s, note)
+        for name, call, target_s, note in _timed_rows(quick)
+    ]
 
     # Undecided after 5M nodes, so the search runs out its whole budget and
     # the row times search nodes rather than call overhead.

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .model import InstanceClass, InstanceError, classify
@@ -67,7 +68,7 @@ def _budget(text: str) -> int:
     return budget
 
 
-def _emit(doc: dict, as_json: bool, text: str) -> None:
+def _emit(doc: dict | list, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(doc, indent=2))
     else:
@@ -240,20 +241,8 @@ def _cmd_bench(args) -> int:
     from .bench import format_rows, run_suite
 
     rows = run_suite(quick=args.quick)
-    doc = [
-        {
-            "name": r.name,
-            "runs": r.runs,
-            "median_s": round(r.median_s, 6),
-            "target_s": r.target_s,
-            "note": r.note,
-        }
-        for r in rows
-    ]
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(format_rows(rows), end="")
+    doc = [dict(asdict(r), median_s=round(r.median_s, 6)) for r in rows]
+    _emit(doc, args.json, format_rows(rows))
     return 0
 
 

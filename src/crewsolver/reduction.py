@@ -128,23 +128,23 @@ def _deal(graph: Graph, junk_suit_base: int):
     return hands, objectives
 
 
-def _bounds(hands) -> tuple[int, int]:
-    k = max(card.value for hand in hands for card in hand)
-    s = max(card.suit for hand in hands for card in hand)
-    return k, s
+def _instance(hands: list[list[Card]], objectives: list[Objective], **extra) -> Instance:
+    """The deal of ``hands``: one player per hand, with ``k`` and ``s`` the
+    highest value and suit dealt."""
+    cards = [card for hand in hands for card in hand]
+    return Instance(
+        players=len(hands),
+        k=max(card.value for card in cards),
+        s=max(card.suit for card in cards),
+        hands=tuple(map(frozenset, hands)),
+        objectives=tuple(objectives),
+        **extra,
+    )
 
 
 def reduce_hp(graph: Graph) -> Instance:
     """Base reduction: winnable iff the graph has a Hamiltonian path."""
-    hands, objectives = _deal(graph, junk_suit_base=graph.vertices)
-    k, s = _bounds(hands)
-    return Instance(
-        players=graph.vertices,
-        k=k,
-        s=s,
-        hands=tuple(frozenset(h) for h in hands),
-        objectives=tuple(objectives),
-    )
+    return _instance(*_deal(graph, junk_suit_base=graph.vertices))
 
 
 def reduce_hp_trump(graph: Graph, trump_count_per_player: int = 1) -> Instance:
@@ -166,15 +166,7 @@ def reduce_hp_trump(graph: Graph, trump_count_per_player: int = 1) -> Instance:
         for _ in range(trump_count_per_player):
             hands[i - 1].append(Card(value, trump))
             value += 1
-    k, _ = _bounds(hands)
-    return Instance(
-        players=graph.vertices,
-        k=k,
-        s=trump,
-        hands=tuple(frozenset(h) for h in hands),
-        objectives=tuple(objectives),
-        trump_suit=trump,
-    )
+    return _instance(hands, objectives, trump_suit=trump)
 
 
 def reduce_hp_tokens(graph: Graph) -> Instance:
@@ -198,15 +190,7 @@ def reduce_hp_tokens(graph: Graph) -> Instance:
     token = TokenConstraint(
         objective=v_count, before=frozenset(range(v_count)), after=frozenset()
     )
-    k, s = _bounds(hands)
-    return Instance(
-        players=q,
-        k=k,
-        s=s,
-        hands=tuple(frozenset(h) for h in hands),
-        objectives=tuple(objectives),
-        tokens=(token,),
-    )
+    return _instance(hands, objectives, tokens=(token,))
 
 
 _BRUTEFORCE_LIMIT = 10

@@ -16,8 +16,9 @@ objective and play, because ``json.dumps`` with an indent never uses its C
 encoder; ``tokens`` and ``meta`` still go through ``json.dumps``.  The
 loads check every card, objective and play array with one bulk test of C
 builtins, and walk only an array that fails it item by item, in field
-order, so the error names the first bad field.  A witness's plays are
-bulk-tested as one array chained over all tricks.
+order, so the error names the first bad field.  Tokens, which are few and
+hold arrays, always take that walk.  A witness's plays are bulk-tested as
+one array chained over all tricks.
 """
 
 from __future__ import annotations
@@ -67,7 +68,12 @@ def _all(kind: type, items) -> bool:
 
 
 # The document keys of each item kind, in field order.
-_KEYS = {Card: ("v", "s"), Objective: Objective._fields, Play: Play._fields}
+_KEYS = {
+    Card: ("v", "s"),
+    Objective: Objective._fields,
+    Play: Play._fields,
+    TokenConstraint: ("objective", "before", "after"),
+}
 
 
 def _bulk(docs: list, kind: type) -> list | None:
@@ -90,8 +96,20 @@ def _bulk(docs: list, kind: type) -> list | None:
     return list(map(tuple.__new__, repeat(kind), zip(*columns)))
 
 
-def _item(doc: Any, kind: type, where: str) -> tuple:
-    """One ``kind`` item, checked field by field in ``kind._fields`` order;
+def _field(key: str, value: Any, where: str):
+    """One field of an item: a card, an array of integers (a token's
+    ``before`` and ``after``) or an integer."""
+    if key == "card":
+        return _item(value, Card, where)
+    if key in ("before", "after"):
+        if not isinstance(value, list):
+            raise FormatError(f"{where}: expected an array")
+        return frozenset(_expect_int(x, where) for x in value)
+    return _expect_int(value, where)
+
+
+def _item(doc: Any, kind: type, where: str):
+    """One ``kind`` item, checked field by field in ``_KEYS`` order;
     ``where`` names it in errors."""
     keys = _KEYS[kind]
     if not isinstance(doc, dict) or set(doc) != set(keys):
@@ -102,14 +120,7 @@ def _item(doc: Any, kind: type, where: str) -> tuple:
         if not all(map(_is_int, doc.values())):
             raise FormatError(f"{where}: card fields must be integers")
         return Card(doc["v"], doc["s"])
-    return kind(
-        *(
-            _item(doc[key], Card, f"{where}.card")
-            if key == "card"
-            else _expect_int(doc[key], f"{where}.{key}")
-            for key in keys
-        )
-    )
+    return kind(*(_field(key, doc[key], f"{where}.{key}") for key in keys))
 
 
 def _items(docs: list, kind: type, where: str) -> list:
@@ -145,26 +156,7 @@ def dict_to_instance(doc: Any) -> Instance:
     tokens_doc = doc.get("tokens", [])
     if not isinstance(tokens_doc, list):
         raise FormatError("'tokens' must be an array")
-    tokens = []
-    for i, t in enumerate(tokens_doc):
-        if not isinstance(t, dict) or set(t) != {"objective", "before", "after"}:
-            raise FormatError(
-                f"tokens[{i}]: expected {{'objective', 'before', 'after'}}"
-            )
-        for side in ("before", "after"):
-            if not isinstance(t[side], list):
-                raise FormatError(f"tokens[{i}].{side}: expected an array")
-        tokens.append(
-            TokenConstraint(
-                objective=_expect_int(t["objective"], f"tokens[{i}].objective"),
-                before=frozenset(
-                    _expect_int(x, f"tokens[{i}].before") for x in t["before"]
-                ),
-                after=frozenset(
-                    _expect_int(x, f"tokens[{i}].after") for x in t["after"]
-                ),
-            )
-        )
+    tokens = [_item(t, TokenConstraint, f"tokens[{i}]") for i, t in enumerate(tokens_doc)]
     return Instance(
         players=_expect_int(doc["players"], "players"),
         k=_expect_int(doc["k"], "k"),

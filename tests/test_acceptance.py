@@ -10,7 +10,6 @@ the per-criterion lines are echoed in the terminal summary.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 from time import perf_counter
 
@@ -34,16 +33,10 @@ from crewsolver.reduction import (
 )
 from crewsolver.solvers import solve, solve_exhaustive
 from crewsolver.verify import PlaySequence, Reason, verify_sequence
+from test_properties import permute_suits, remap_values
+from test_reduce import all_graphs
 
 pytestmark = pytest.mark.acceptance
-
-
-def _all_graphs(vertices: int):
-    pairs = list(itertools.combinations(range(1, vertices + 1), 2))
-    for bits in range(1 << len(pairs)):
-        yield Graph.from_edges(
-            vertices, [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        )
 
 
 def _sweep(generator, solver_id, count=500):
@@ -99,7 +92,7 @@ def reduction_sweep():
     t0 = perf_counter()
     records = []
     mismatches = 0
-    graphs = [g for v in (1, 2, 3, 4) for g in _all_graphs(v)]
+    graphs = [g for v in (1, 2, 3, 4) for g in all_graphs(v)]
     probs = (0.2, 0.35, 0.5, 0.65, 0.8)
     graphs += [gen_graph(5, probs[seed % 5], seed) for seed in range(200)]
     for g in graphs:
@@ -118,7 +111,7 @@ def variant_sweep():
     mismatches = 0
     checked = 0
     for v in (1, 2, 3, 4):
-        for g in _all_graphs(v):
+        for g in all_graphs(v):
             expected, _ = hp_bruteforce(g)
             variants = [reduce_hp_tokens(g)]
             if v >= 2:  # the trump deal needs a second player to hold trumps
@@ -396,40 +389,6 @@ def test_criterion_9_performance(acceptance_report):
     )
 
 
-def _permute_suits(inst: Instance, perm: dict[int, int]) -> Instance:
-    def remap(card: Card) -> Card:
-        return Card(card.value, perm[card.suit])
-
-    return dataclasses.replace(
-        inst,
-        hands=tuple(frozenset(remap(c) for c in h) for h in inst.hands),
-        objectives=tuple(
-            Objective(remap(o.card), o.owner) for o in inst.objectives
-        ),
-        trump_suit=None if inst.trump_suit is None else perm[inst.trump_suit],
-    )
-
-
-def _remap_values(inst: Instance, rng: random.Random) -> Instance:
-    mapping = {}
-    total = 0
-    for v in range(1, inst.k + 1):
-        total += rng.randint(1, 3)
-        mapping[v] = total
-
-    def remap(card: Card) -> Card:
-        return Card(mapping[card.value], card.suit)
-
-    return dataclasses.replace(
-        inst,
-        k=total,
-        hands=tuple(frozenset(remap(c) for c in h) for h in inst.hands),
-        objectives=tuple(
-            Objective(remap(o.card), o.owner) for o in inst.objectives
-        ),
-    )
-
-
 def test_criterion_10_relabel_invariance(acceptance_report):
     suit_bad = value_bad = 0
     for seed in range(200):
@@ -440,10 +399,11 @@ def test_criterion_10_relabel_invariance(acceptance_report):
         suits = list(range(1, inst.s + 1))
         shuffled = suits[:]
         rng.shuffle(shuffled)
-        if solve_exhaustive(_permute_suits(inst, dict(zip(suits, shuffled))), budget=0).decision != base:
+        if solve_exhaustive(permute_suits(inst, dict(zip(suits, shuffled))), budget=0).decision != base:
             suit_bad += 1
 
-        if solve_exhaustive(_remap_values(inst, rng), budget=0).decision != base:
+        gaps = [rng.randint(1, 3) for _ in range(inst.k)]
+        if solve_exhaustive(remap_values(inst, gaps), budget=0).decision != base:
             value_bad += 1
 
     acceptance_report(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -76,6 +78,12 @@ class TestSolve:
             monkeypatch.setenv("CREW_BUDGET", raw)
             assert entry(["solve", deal_file, "--budget", "0"]) == 0
             assert "decision: true" in capsys.readouterr().out
+
+    def test_witness_out_unwritable_exit_two(self, deal_file, tmp_path, capsys):
+        # The deal is winnable, so the witness is written: into a directory.
+        assert entry(["solve", deal_file, "--witness-out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
 
     def test_witness_out_verifies(self, deal_file, tmp_path, capsys):
         out = tmp_path / "witness.json"
@@ -267,6 +275,12 @@ class TestReduce:
         capsys.readouterr()
         assert entry(["solve", str(out)]) == 1
 
+    def test_unparsable_graph_exit_two(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("x 1 2\n")
+        assert entry(["reduce", str(graph)]) == 2
+        assert capsys.readouterr().err == f"error: {graph}: line 1: unknown record 'x'\n"
+
     def test_bad_graph_exit_two(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
         graph.write_text("p 1 0\n")
@@ -332,25 +346,35 @@ class TestClassify:
         assert json.loads(capsys.readouterr().out) == {"class": "general"}
 
 
+@pytest.fixture(scope="module")
+def quick_bench_rows():
+    """The rows of one ``crew bench --quick --json`` run, shared by the
+    ``TestBench`` tests: the quick suite takes seconds.  Its ``crew solve``
+    children inherit the environment, so CREW_BUDGET is cleared here too."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.delenv("CREW_BUDGET", raising=False)
+        code = entry(["bench", "--quick", "--json"])
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
 class TestBench:
-    def test_quick_json(self, capsys):
-        assert entry(["bench", "--quick", "--json"]) == 0
-        rows = json.loads(capsys.readouterr().out)
+    def test_quick_json(self, quick_bench_rows):
+        rows = quick_bench_rows
         assert isinstance(rows, list) and rows
         names = {r["name"] for r in rows}
         assert any("exhaustive kernel" in n for n in names)
         for row in rows:
             assert set(row) == {"name", "runs", "median_s", "target_s", "note"}
 
-    def test_quick_serialize_rows(self, capsys):
-        assert entry(["bench", "--quick", "--json"]) == 0
-        rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
+    def test_quick_serialize_rows(self, quick_bench_rows):
+        rows = {r["name"]: r for r in quick_bench_rows}
         assert "loads_instance ss-owned n=20000" in rows
         assert rows["dumps_witness ss-owned n=20000"]["note"] == "tricks=400 plays=3200"
 
-    def test_quick_cli_row(self, capsys):
-        assert entry(["bench", "--quick", "--json"]) == 0
-        rows = [r for r in json.loads(capsys.readouterr().out) if r["name"].startswith("crew solve child")]
+    def test_quick_cli_row(self, quick_bench_rows):
+        rows = [r for r in quick_bench_rows if r["name"].startswith("crew solve child")]
         assert len(rows) == 1
         row = rows[0]
         assert row["runs"] == 5 and row["median_s"] > 0

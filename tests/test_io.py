@@ -163,6 +163,25 @@ class TestInstanceErrors:
         with pytest.raises(FormatError, match="expected an array"):
             self._load(doc)
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ({"objective": "0", "before": 1, "after": 1}, "tokens[0].objective: expected an integer"),
+            ({"objective": 0, "before": [True], "after": 1}, "tokens[0].before: expected an integer"),
+            ({"objective": 0, "before": [], "after": [None]}, "tokens[0].after: expected an integer"),
+        ],
+        ids=["objective", "before", "after"],
+    )
+    def test_token_faults_named_in_field_order(self, token, message):
+        # Tokens take the same per-item walk as cards, objectives and plays,
+        # so of several faults the first field's is reported.
+        doc = self._base_doc()
+        doc["objectives"] = [{"card": {"v": 1, "s": 1}, "owner": 1}]
+        doc["tokens"] = [token]
+        with pytest.raises(FormatError) as info:
+            self._load(doc)
+        assert str(info.value) == message
+
     def test_tokens_not_array(self):
         doc = self._base_doc()
         for bad in (None, 5, "0", {"objective": 0}):
@@ -214,6 +233,10 @@ class TestWitnessErrors:
         doc["lead"] = 2
         with pytest.raises(FormatError, match="first trick led by"):
             loads_witness(json.dumps(doc))
+
+    def test_tricks_not_array(self):
+        with pytest.raises(FormatError, match="^'tricks' must be an array$"):
+            loads_witness('{"lead": 1, "tricks": {}}')
 
     def test_empty_trick_rejected(self):
         with pytest.raises(FormatError, match="non-empty play array"):

@@ -89,6 +89,17 @@ class TestInstanceValidation:
                 trump_suit=1,
             )
 
+    def test_players_at_least_one(self):
+        with pytest.raises(InstanceError, match="^players must be >= 1$"):
+            Instance(players=0, k=1, s=1, hands=())
+
+    @pytest.mark.parametrize("bounds", [{"k": 0, "s": 1}, {"k": 1, "s": 0}], ids=["k", "s"])
+    def test_value_and_suit_bounds_at_least_one(self, bounds):
+        with pytest.raises(
+            InstanceError, match="^value bound k and suit bound s must be >= 1$"
+        ):
+            Instance(players=1, hands=(frozenset(),), **bounds)
+
     def test_first_lead_range(self):
         with pytest.raises(InstanceError, match="first lead out of range"):
             _two_hands([(1, 1)], [(2, 1)], first_lead=5)

@@ -231,7 +231,7 @@ def test_single_suit_solver_matches_oracle(inst):
         assert len(report.witness.tricks) <= len(inst.objectives)
 
 
-def _permute_suits(inst: Instance, perm: dict[int, int]) -> Instance:
+def permute_suits(inst: Instance, perm: dict[int, int]) -> Instance:
     def remap(card: Card) -> Card:
         return Card(card.value, perm[card.suit])
 
@@ -245,7 +245,7 @@ def _permute_suits(inst: Instance, perm: dict[int, int]) -> Instance:
     )
 
 
-def _remap_values(inst: Instance, gaps: list[int]) -> Instance:
+def remap_values(inst: Instance, gaps: list[int]) -> Instance:
     mapping = {}
     total = 0
     for v in range(1, inst.k + 1):
@@ -271,7 +271,7 @@ def test_suit_permutation_invariance(inst, rnd):
     suits = list(range(1, inst.s + 1))
     shuffled = suits[:]
     rnd.shuffle(shuffled)
-    mapped = _permute_suits(inst, dict(zip(suits, shuffled)))
+    mapped = permute_suits(inst, dict(zip(suits, shuffled)))
     decisions = [solve_exhaustive(d, budget=0).decision for d in (inst, mapped)]
     assert decisions[0] == decisions[1]
 
@@ -282,7 +282,7 @@ def test_value_remap_invariance(inst, data):
     gaps = data.draw(
         st.lists(st.integers(1, 3), min_size=inst.k, max_size=inst.k)
     )
-    mapped = _remap_values(inst, gaps)
+    mapped = remap_values(inst, gaps)
     decisions = [solve_exhaustive(d, budget=0).decision for d in (inst, mapped)]
     assert decisions[0] == decisions[1]
 

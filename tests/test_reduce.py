@@ -71,6 +71,10 @@ class TestGraphFormat:
             ("", "missing problem line"),
             ("p x y\n", "invalid problem line"),
             ("p 3 0\ne 1 x\n", "invalid edge"),
+            ("p 3\n", "^line 1: expected 'p <vertices> <edges>'$"),
+            ("p 3 1 7\n", "^line 1: expected 'p <vertices> <edges>'$"),
+            ("p 3 1\ne 1\n", "^line 2: expected 'e <u> <v>'$"),
+            ("p 3 1\ne 1 2 3\n", "^line 2: expected 'e <u> <v>'$"),
         ],
     )
     def test_parse_errors(self, bad, message):

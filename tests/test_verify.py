@@ -9,6 +9,7 @@ import pytest
 from crewsolver.model import (
     Card,
     Instance,
+    Objective,
     Play,
     PlayError,
     TokenConstraint,
@@ -170,6 +171,25 @@ class TestRejectionReasons:
         verdict = verify_sequence(inst, mutated)
         assert verdict.reason is Reason.HAND_EMPTY_EARLY
         assert verdict.trick_index == 0
+
+    def test_hand_empty_before_first_trick(self):
+        # Player 2 is dealt nothing while an objective is open, so not even
+        # the first trick can be formed, whatever the certificate plays.
+        inst = Instance(
+            players=2,
+            k=1,
+            s=1,
+            hands=(frozenset({Card(1, 1)}), frozenset()),
+            objectives=(Objective(Card(1, 1), 1),),
+        )
+        trick = Trick(lead=1, plays=(Play(1, Card(1, 1)),))
+        verdict = verify_sequence(inst, PlaySequence(first_lead=1, tricks=(trick,)))
+        assert verdict == Verdict(
+            accepted=False,
+            reason=Reason.HAND_EMPTY_EARLY,
+            trick_index=0,
+            detail="no trick can be formed",
+        )
 
     def test_short_trick_rejected(self, uneven_deal):
         short = Trick(lead=1, plays=(Play(1, Card(4, 1)),))
