@@ -200,3 +200,36 @@ def test_kernel_index_order(uneven_deal, monkeypatch):
             got = search(*shuffled)
             assert got[0] == status and got[3] == nodes and got[1] == leads
             assert [[cards[perm[c]] for c in row] for row in got[2]] == named
+
+
+def test_tokens_broken_gets_objective_masks(monkeypatch):
+    """The kernel calls ``tokens_broken(done, new)`` with disjoint objective
+    bit masks (bit ``o`` is objective ``o``, not its card), once per pair.
+    The objectives here run against the kernel's card order: the token's
+    objective, which must come last, is objective 0 but the highest card."""
+    calls = []
+    search = _search_py.search
+
+    def recording(*args):
+        args = list(args)
+        broken = args[6]
+        args[6] = lambda done, new: calls.append((done, new)) or broken(done, new)
+        return search(*args)
+
+    monkeypatch.setattr(_search_py, "search", recording)
+    base = reduce_hp_tokens(gen_graph(3, 0.6, 0))
+    deal = dataclasses.replace(
+        base,
+        objectives=base.objectives[::-1],
+        tokens=(TokenConstraint(0, before=frozenset({1, 2, 3})),),
+    )
+    report = solve_exhaustive(deal, budget=0)
+    assert (report.decision, report.stats.nodes) == (True, 143)
+    everything = (1 << len(deal.objectives)) - 1
+    for done, new in calls:
+        assert new and not done & new and (done | new) & ~everything == 0
+    assert len(set(calls)) == len(calls)
+    assert calls == [
+        (0, 8), (8, 1), (8, 2), (10, 1), (8, 4), (12, 1),
+        (0, 1), (0, 2), (2, 1), (2, 8), (10, 4), (14, 1),
+    ]
