@@ -26,13 +26,22 @@ collapse test is one bitmask step: the lowest live-or-on-table bit above a
 card in its suit is its successor.  Every player plays exactly one card per
 trick, so at trick depth ``d`` every hand holds its starting size minus ``d``
 cards; the distinct-owner bound and the empty-hand test are arithmetic on
-the smallest starting hand, and the distinct-owner count is cached per
-completed mask.
+the smallest starting hand, and the distinct-owner count is cached per set
+of open objective cards.  Within a suit a higher label is a higher card, so
+the seat loop compares labels, never values.
+
+A position between tricks is the pair ``(rem, lead)`` of live cards and
+leader, and the failed-position memo holds it as the one int
+``rem * p + lead``.  The completed objectives need no place in it: at every
+trick boundary the search reaches, they are exactly those whose cards have
+left ``rem``, since the seat loop drops any trick that misroutes an
+objective and a line that breaks token order ends at that trick.
 
 Token order is the caller's rule: ``tokens_broken(completed, new)`` says
 whether a trick completing ``new`` after ``completed`` (bit ``o`` is
 objective ``o``) breaks it, and is called only on a miss in a per-search
-cache of such pairs.
+cache keyed on the open and newly won objective cards; only then are card
+bits mapped to objective bits.
 
 This module has no dependencies on the rest of the package;
 ``solvers._exhaustive`` handles encoding and decoding.
@@ -69,10 +78,8 @@ def search(
     in rotation order from that trick's lead.
     """
     n = len(values)
-    l = len(obj_card)
-    if l == 0:
+    if not obj_card:
         return (WIN, [], [], 0)
-    all_objs = (1 << l) - 1
     limit = budget if budget > 0 else 1 << 63
 
     # Internal label i is caller card orig[i]: suits in order, each suit
@@ -81,7 +88,6 @@ def search(
     label = [0] * n
     for i, c in enumerate(orig):
         label[c] = i
-    value = [values[c] for c in orig]
     suit = [suits[c] for c in orig]
     owner = [owners[c] for c in orig]
 
@@ -95,19 +101,18 @@ def search(
     for i, s in enumerate(suit):
         suit_mask[s] |= 1 << i
 
-    objidx_of = [-1] * n
+    # Per objective card's label: its objective's bit and its owner.
     obj_bit_of = {}
-    owner_bit = [0] * l
+    obj_owner_of = {}
     for o, c in enumerate(obj_card):
-        objidx_of[label[c]] = o
-        obj_bit_of[1 << label[c]] = 1 << o
-        owner_bit[o] = 1 << obj_owner[o]
-    obj_cards = sum(obj_bit_of)
+        obj_bit_of[label[c]] = 1 << o
+        obj_owner_of[label[c]] = obj_owner[o]
+    obj_cards = sum(1 << i for i in obj_bit_of)
     hand_nonobj = [m & ~obj_cards for m in hand_mask]
 
     # Each player's cards in branch order, with what the seat loop reads
-    # about them: (bit, label, objective or -1, its owner or -1, same-suit
-    # bits above, suit, value).
+    # about them: (bit, label, its objective's owner or -1, same-suit bits
+    # above, suit).
     cands = []
     for q in range(p):
         mine = sorted(
@@ -118,62 +123,54 @@ def search(
         row = []
         for c in mine:
             i = label[c]
-            o = objidx_of[i]
-            row.append(
-                (
-                    1 << i,
-                    i,
-                    o,
-                    obj_owner[o] if o >= 0 else -1,
-                    suit_mask[suit[i]] & ~((2 << i) - 1),
-                    suit[i],
-                    value[i],
-                )
-            )
+            above = suit_mask[suit[i]] & ~((2 << i) - 1)
+            row.append((1 << i, i, obj_owner_of.get(i, -1), above, suit[i]))
         cands.append(tuple(row))
 
     max_tricks = min_size + 1
     trick_cards = [[-1] * p for _ in range(max_tricks)]
     trick_leads = [-1] * max_tricks
 
-    failed: set[tuple[int, int, int]] = set()
+    failed: set[int] = set()
+    # Distinct owners per set of open objective cards.
     owner_count: dict[int, int] = {}
-    # tokens_broken's answer per (completed, newly completed) pair.
+    # tokens_broken's answer per (open, newly won) objective cards.
     blocked: dict[tuple[int, int], bool] = {}
     nodes = 0
     final_depth = 0
 
-    def resolve(rem: int, start: int, completed: int, best: int, depth: int) -> int:
+    def labels(cards: int):
+        while cards:
+            low = cards & -cards
+            yield low.bit_length() - 1
+            cards ^= low
+
+    def resolve(rem: int, start: int, best: int, depth: int) -> int:
         # Every objective card on the table belongs to the winner: the seat
         # loop drops a card of a second owner, and by the last seat every
         # owner has played, so it drops a trick its owner is not winning.
         nonlocal final_depth
-        new = 0
-        m = (start ^ rem) & obj_cards
-        while m:
-            low = m & -m
-            new |= obj_bit_of[low]
-            m ^= low
+        new = (start ^ rem) & obj_cards
         if new and tokens_broken is not None:
-            key = (completed, new)
+            key = (start & obj_cards, new)
             block = blocked.get(key)
             if block is None:
-                block = blocked[key] = tokens_broken(completed, new)
+                done = sum(obj_bit_of[i] for i in labels(obj_cards & ~start))
+                won = sum(obj_bit_of[i] for i in labels(new))
+                block = blocked[key] = tokens_broken(done, won)
             if block:
                 return LOSS
-        completed |= new
-        if completed == all_objs:
+        if not rem & obj_cards:
             final_depth = depth + 1
             return WIN
         if min_size <= depth + 1:
             return LOSS
-        return boundary(rem, owner[best], completed, depth + 1)
+        return boundary(rem, owner[best], depth + 1)
 
     def seat(
         rem: int,
         start: int,
         lead: int,
-        completed: int,
         seat_no: int,
         led_suit: int,
         best: int,
@@ -183,7 +180,7 @@ def search(
         # ``start`` is ``rem`` at the lead: the live cards and those on the table.
         nonlocal nodes
         if seat_no == p:
-            return resolve(rem, start, completed, best, depth)
+            return resolve(rem, start, best, depth)
         player = (lead + seat_no) % p
         cand = hand_mask[player] & rem
         if seat_no > 0:
@@ -191,13 +188,12 @@ def search(
             if follow:
                 cand = follow
             best_suit = suit[best]
-            best_value = value[best]
         plain = hand_nonobj[player] & rem
         row = trick_cards[depth]
-        for bit, c, o, ow, above, s, v in cands[player]:
+        for bit, c, ow, above, s in cands[player]:
             if not cand & bit:
                 continue
-            if o < 0:
+            if ow < 0:
                 # Equal-card collapse: the lowest bit of ``x`` is the next
                 # card up in the suit that is live or on the table.
                 x = start & above
@@ -217,7 +213,7 @@ def search(
             else:
                 new_led = led_suit
                 # c beats best: higher in its suit, or a trump on a non-trump.
-                if (v > best_value) if s == best_suit else s == trump:
+                if (c > best) if s == best_suit else s == trump:
                     new_best = c
                 else:
                     new_best = best
@@ -230,7 +226,6 @@ def search(
                 rem & ~bit,
                 start,
                 lead,
-                completed,
                 seat_no + 1,
                 new_led,
                 new_best,
@@ -241,23 +236,18 @@ def search(
                 return res
         return LOSS
 
-    def boundary(rem: int, lead: int, completed: int, depth: int) -> int:
-        count = owner_count.get(completed)
+    def boundary(rem: int, lead: int, depth: int) -> int:
+        open_cards = rem & obj_cards
+        count = owner_count.get(open_cards)
         if count is None:
-            owners_mask = 0
-            m = all_objs & ~completed
-            while m:
-                low = m & -m
-                owners_mask |= owner_bit[low.bit_length() - 1]
-                m ^= low
-            count = owner_count[completed] = owners_mask.bit_count()
+            count = owner_count[open_cards] = len({obj_owner_of[i] for i in labels(open_cards)})
         if count > min_size - depth:
             return LOSS
-        key = (rem, lead, completed)
+        key = rem * p + lead
         if key in failed:
             return LOSS
         trick_leads[depth] = lead
-        res = seat(rem, rem, lead, completed, 0, -1, -1, -1, depth)
+        res = seat(rem, rem, lead, 0, -1, -1, -1, depth)
         if res == LOSS:
             failed.add(key)
         return res
@@ -265,7 +255,7 @@ def search(
     full_mask = (1 << n) - 1
     leads = [first_lead] if first_lead >= 0 else list(range(p))
     for lead in leads:
-        res = boundary(full_mask, lead, 0, 0)
+        res = boundary(full_mask, lead, 0)
         if res == WIN:
             return (
                 WIN,
