@@ -3,11 +3,11 @@
 Informational only — no pass/fail.  One generator yields every row that
 times a single call, building the row's input just before it is timed, and
 one loop times them.  Rows that correspond to an acceptance time target
-carry the target for comparison; the ``loads_instance`` and
-``dumps_witness`` rows time the document I/O around the ss-owned solve,
-which on big polynomial deals costs more than the solve; the exhaustive row
-runs a general deal that no search decides within its fixed node budget,
-and reports the node count, nodes per second and decision beside its time;
+carry the target for comparison; the ``loads_instance``, ``classify``,
+``dumps_witness`` and ``verify_sequence`` rows time the other phases of the
+CLI path around the ss-owned solve, which on big polynomial deals can cost
+more than the solve; the exhaustive row runs a general deal that no search
+decides within its fixed node budget, and reports the node count, nodes per second and decision beside its time;
 the last row times whole ``crew solve`` child processes on a small deal, so
 the start-up cost (interpreter plus imports) shows beside the work.
 """
@@ -23,7 +23,7 @@ from statistics import median
 from time import perf_counter
 
 from .generate import gen_general, gen_single_suit, gen_single_value, gen_ss_owned
-from .model import Instance, Objective
+from .model import Instance, Objective, classify
 from .serialize import dumps_instance, dumps_witness, loads_instance
 from .solvers import solve, solve_exhaustive
 from .verify import verify_sequence
@@ -108,6 +108,7 @@ def _timed_rows(quick: bool):
         None,
         f"bytes={len(text)}",
     )
+    yield f"classify ss-owned n={inst_own.n}", lambda: classify(inst_own), None, ""
     witness = solve(inst_own, force="ss-owned").witness
     plays = sum(len(t.plays) for t in witness.tricks)
     yield (
@@ -115,6 +116,12 @@ def _timed_rows(quick: bool):
         lambda: dumps_witness(witness),
         None,
         f"tricks={len(witness.tricks)} plays={plays}",
+    )
+    yield (
+        f"verify_sequence ss-owned n={inst_own.n}",
+        lambda: verify_sequence(inst_own, witness),
+        None,
+        f"plays={plays}",
     )
 
     inst_ss = gen_single_suit(10_000 // scale, 8, 1_000 // scale, seed=3)

@@ -373,6 +373,11 @@ class TestBench:
         assert "loads_instance ss-owned n=20000" in rows
         assert rows["dumps_witness ss-owned n=20000"]["note"] == "tricks=400 plays=3200"
 
+    def test_quick_phase_rows(self, quick_bench_rows):
+        rows = {r["name"]: r for r in quick_bench_rows}
+        assert rows["classify ss-owned n=20000"]["median_s"] > 0
+        assert rows["verify_sequence ss-owned n=20000"]["note"] == "plays=3200"
+
     def test_quick_cli_row(self, quick_bench_rows):
         rows = [r for r in quick_bench_rows if r["name"].startswith("crew solve child")]
         assert len(rows) == 1
