@@ -28,6 +28,84 @@ def witness_file(tmp_path, uneven_deal_win):
     return str(path)
 
 
+# One row per place where crew turns bad input into exit 2 and one
+# ``error:`` line: every file each subcommand reads (missing, not UTF-8,
+# unparsable), and every check that fails after the files are read.
+# ``{name}`` stands for the path of a file made by ``error_files``.
+ERROR_COMMANDS = {
+    "solve-missing": (["solve", "{missing}"], "cannot read {missing}: No such file or directory"),
+    "solve-non-utf8": (["solve", "{latin1}"], "cannot read {latin1}: not UTF-8 (invalid start byte)"),
+    "solve-unparsable": (["solve", "{array}"], "{array}: instance document must be a JSON object"),
+    "solve-invalid": (["solve", "{no_players}"], "{no_players}: players must be >= 1"),
+    "solve-force": (
+        ["solve", "{deal}", "--force", "single-value"],
+        "solver 'single-value' cannot handle a 'general' instance",
+    ),
+    "verify-instance-missing": (
+        ["verify", "{missing}", "{win}"],
+        "cannot read {missing}: No such file or directory",
+    ),
+    "verify-instance-unparsable": (
+        ["verify", "{array}", "{win}"],
+        "{array}: instance document must be a JSON object",
+    ),
+    "verify-witness-missing": (
+        ["verify", "{deal}", "{missing}"],
+        "cannot read {missing}: No such file or directory",
+    ),
+    "verify-witness-non-utf8": (
+        ["verify", "{deal}", "{latin1}"],
+        "cannot read {latin1}: not UTF-8 (invalid start byte)",
+    ),
+    "verify-witness-unparsable": (
+        ["verify", "{deal}", "{array}"],
+        "{array}: witness document must carry 'lead' and 'tricks'",
+    ),
+    "classify-missing": (["classify", "{missing}"], "cannot read {missing}: No such file or directory"),
+    "classify-unparsable": (["classify", "{array}"], "{array}: instance document must be a JSON object"),
+    "reduce-missing": (["reduce", "{missing}"], "cannot read {missing}: No such file or directory"),
+    "reduce-non-utf8": (["reduce", "{latin1}"], "cannot read {latin1}: not UTF-8 (invalid start byte)"),
+    "reduce-unparsable": (["reduce", "{array}"], "{array}: line 1: unknown record '[]'"),
+    "reduce-trump-one-vertex": (
+        ["reduce", "{one_vertex}", "--variant", "trump"],
+        "trump variant needs at least two vertices",
+    ),
+    "gen-counts": (
+        ["gen", "single-value", "-n", "2", "-p", "1", "-l", "5"],
+        "cannot place 5 objectives on 2 cards",
+    ),
+    "gen-class-counts": (
+        ["gen", "single-suit", "-p", "1"],
+        "single-suit generation needs >= 2 players",
+    ),
+}
+
+
+@pytest.fixture
+def error_files(tmp_path, deal_file, witness_file):
+    files = {"deal": deal_file, "win": witness_file, "missing": str(tmp_path / "missing.json")}
+    contents = {
+        "latin1": b'{"lead": 1, "tricks": [\xff]}',
+        "array": b"[]",
+        "no_players": b'{"players": 0, "k": 1, "s": 1, "hands": [], "objectives": []}',
+        "one_vertex": b"p 1 0\n",
+    }
+    for name, data in contents.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("command", sorted(ERROR_COMMANDS))
+def test_input_error_is_one_line_exit_two(command, error_files, capsys):
+    argv, message = ERROR_COMMANDS[command]
+    assert entry([arg.format(**error_files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(**error_files)}\n"
+    assert captured.out == ""
+
+
 class TestSolve:
     def test_yes_exit_zero(self, deal_file, capsys):
         assert entry(["solve", deal_file]) == 0
