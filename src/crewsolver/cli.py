@@ -6,6 +6,12 @@ Subcommands: ``solve``, ``verify``, ``reduce``, ``gen``, ``classify``,
 budget, or any unexpected exception.  ``--json`` switches the report of
 ``solve``, ``verify``, ``reduce``, ``classify`` or ``bench`` to
 machine-readable form.
+
+Every input error the library reports is a ``ValueError`` (``FormatError``,
+``InstanceError``, ``SolverMismatchError`` and the generators' and
+reductions' checks), so ``entry`` prints any ``ValueError`` as one
+``error: <message>`` line, with the file's name before a parse error, and
+any other exception as ``error: <Type>: <message>``.
 """
 
 from __future__ import annotations
@@ -17,43 +23,35 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .model import InstanceClass, InstanceError, classify
-from .serialize import (
-    FormatError,
-    dumps_instance,
-    dumps_witness,
-    loads_instance,
-    loads_witness,
-)
+from .model import InstanceClass, classify
+from .serialize import dumps_instance, dumps_witness, loads_instance, loads_witness
 from .solvers import SOLVER_IDS, solve_classified
 from .verify import verify_sequence
-
-
-class _CliError(Exception):
-    """Carries a message for exit status 2."""
 
 
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _CliError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
+        raise ValueError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
 
 
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _load_instance(path: str):
+def _load(path: str, parse):
+    """``parse`` of the file's text; a parse error names the file."""
+    text = _read(path)
     try:
-        return loads_instance(_read(path))
-    except (FormatError, InstanceError) as exc:
-        raise _CliError(f"{path}: {exc}") from exc
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _budget(text: str) -> int:
@@ -76,7 +74,7 @@ def _emit(doc: dict | list, as_json: bool, text: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _load(args.instance, loads_instance)
     cls = classify(instance)
     budget = args.budget
     if budget is None:
@@ -84,17 +82,8 @@ def _cmd_solve(args) -> int:
         try:
             budget = _budget(raw) if raw else 0
         except argparse.ArgumentTypeError as exc:
-            raise _CliError(f"CREW_BUDGET {exc}") from exc
-    try:
-        report = solve_classified(
-            instance,
-            cls,
-            force=args.force,
-            budget=budget,
-            want_witness=True,
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+            raise ValueError(f"CREW_BUDGET {exc}") from exc
+    report = solve_classified(instance, cls, force=args.force, budget=budget, want_witness=True)
 
     witness_path = None
     if report.decision and args.witness_out:
@@ -134,11 +123,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = _load_instance(args.instance)
-    try:
-        sequence = loads_witness(_read(args.witness))
-    except FormatError as exc:
-        raise _CliError(f"{args.witness}: {exc}") from exc
+    instance = _load(args.instance, loads_instance)
+    sequence = _load(args.witness, loads_witness)
     verdict = verify_sequence(instance, sequence)
     doc = {
         "accepted": verdict.accepted,
@@ -157,19 +143,13 @@ def _cmd_verify(args) -> int:
 def _cmd_reduce(args) -> int:
     from .reduction import parse_graph, reduce_hp, reduce_hp_tokens, reduce_hp_trump
 
-    try:
-        graph = parse_graph(_read(args.graph))
-    except ValueError as exc:
-        raise _CliError(f"{args.graph}: {exc}") from exc
-    try:
-        if args.variant == "base":
-            instance = reduce_hp(graph)
-        elif args.variant == "trump":
-            instance = reduce_hp_trump(graph, args.trump_count)
-        else:
-            instance = reduce_hp_tokens(graph)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    graph = _load(args.graph, parse_graph)
+    if args.variant == "base":
+        instance = reduce_hp(graph)
+    elif args.variant == "trump":
+        instance = reduce_hp_trump(graph, args.trump_count)
+    else:
+        instance = reduce_hp_tokens(graph)
 
     meta = {"source": "reduce", "variant": args.variant, "graph": f"p {graph.vertices} {len(graph.edges)}"}
     text = dumps_instance(instance, meta=meta)
@@ -201,17 +181,9 @@ def _cmd_gen(args) -> int:
     from .reduction import format_graph
 
     if args.what == "graph":
-        try:
-            graph = gen_graph(args.vertices, args.edge_prob, args.seed)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
-        text = format_graph(graph)
+        text = format_graph(gen_graph(args.vertices, args.edge_prob, args.seed))
     else:
-        gen = GENERATORS[args.what]
-        try:
-            instance = gen(args.cards, args.players, args.objectives, args.seed)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        instance = GENERATORS[args.what](args.cards, args.players, args.objectives, args.seed)
         meta = {
             "generator": args.what,
             "seed": args.seed,
@@ -231,7 +203,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _load(args.instance, loads_instance)
     label = classify(instance).value
     _emit({"class": label}, args.json, label)
     return 0
@@ -305,7 +277,7 @@ def entry(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except _CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

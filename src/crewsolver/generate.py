@@ -47,8 +47,18 @@ def _check_counts(n: int, players: int, objectives: int) -> None:
         raise ValueError(f"cannot place {objectives} objectives on {n} cards")
 
 
-def _maybe_lead(rng: random.Random, players: int) -> int | None:
-    return rng.randint(1, players) if rng.random() < 0.3 else None
+def _instance(rng: random.Random, k: int, s: int, hands, objectives, **extra) -> Instance:
+    """The deal of ``hands``.  Its opening leader, if any, is the last draw
+    from ``rng``, so every earlier draw keeps its place in the stream."""
+    return Instance(
+        players=len(hands),
+        k=k,
+        s=s,
+        hands=tuple(frozenset(h) for h in hands),
+        objectives=tuple(objectives),
+        first_lead=rng.randint(1, len(hands)) if rng.random() < 0.3 else None,
+        **extra,
+    )
 
 
 def gen_single_value(n: int, players: int, objectives: int, seed: int) -> Instance:
@@ -63,14 +73,7 @@ def gen_single_value(n: int, players: int, objectives: int, seed: int) -> Instan
         objs = tuple(Objective(c, owner) for c in targets)
     else:
         objs = tuple(Objective(c, rng.randint(1, players)) for c in targets)
-    return Instance(
-        players=players,
-        k=1,
-        s=n,
-        hands=tuple(frozenset(h) for h in hands),
-        objectives=objs,
-        first_lead=_maybe_lead(rng, players),
-    )
+    return _instance(rng, 1, n, hands, objs)
 
 
 def _single_suit_deal(
@@ -88,15 +91,7 @@ def gen_ss_owned(n: int, players: int, objectives: int, seed: int) -> Instance:
     rng = _rng("ss-owned", seed, n, players, objectives)
     hands, holder = _single_suit_deal(n, players, rng)
     targets = rng.sample(sorted(holder), objectives)
-    objs = tuple(Objective(c, holder[c]) for c in targets)
-    return Instance(
-        players=players,
-        k=n,
-        s=1,
-        hands=tuple(frozenset(h) for h in hands),
-        objectives=objs,
-        first_lead=_maybe_lead(rng, players),
-    )
+    return _instance(rng, n, 1, hands, [Objective(c, holder[c]) for c in targets])
 
 
 def gen_single_suit(n: int, players: int, objectives: int, seed: int) -> Instance:
@@ -113,15 +108,7 @@ def gen_single_suit(n: int, players: int, objectives: int, seed: int) -> Instanc
     if all(owner == holder[c] for c, owner in zip(targets, owners)):
         shift = rng.randrange(len(targets))
         owners[shift] = holder[targets[shift]] % players + 1
-    objs = tuple(Objective(c, o) for c, o in zip(targets, owners))
-    return Instance(
-        players=players,
-        k=n,
-        s=1,
-        hands=tuple(frozenset(h) for h in hands),
-        objectives=objs,
-        first_lead=_maybe_lead(rng, players),
-    )
+    return _instance(rng, n, 1, hands, [Objective(c, o) for c, o in zip(targets, owners)])
 
 
 def gen_general(n: int, players: int, objectives: int, seed: int) -> Instance:
@@ -145,7 +132,7 @@ def gen_general(n: int, players: int, objectives: int, seed: int) -> Instance:
         trump = None
         candidates = sorted(cards)
     targets = rng.sample(candidates, objectives)
-    objs = tuple(Objective(c, rng.randint(1, players)) for c in targets)
+    objs = [Objective(c, rng.randint(1, players)) for c in targets]
 
     tokens: list[TokenConstraint] = []
     if objectives >= 2 and rng.random() < 0.5:
@@ -159,16 +146,7 @@ def gen_general(n: int, players: int, objectives: int, seed: int) -> Instance:
             )
             tokens.append(TokenConstraint(subject, before, after))
 
-    return Instance(
-        players=players,
-        k=k,
-        s=suits,
-        hands=tuple(frozenset(h) for h in hands),
-        objectives=objs,
-        tokens=tuple(tokens),
-        trump_suit=trump,
-        first_lead=_maybe_lead(rng, players),
-    )
+    return _instance(rng, k, suits, hands, objs, tokens=tuple(tokens), trump_suit=trump)
 
 
 def gen_graph(vertices: int, edge_prob: float, seed: int) -> Graph:
