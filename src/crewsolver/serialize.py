@@ -132,7 +132,17 @@ def _items(docs: list, kind: type, where: str) -> list:
     return items
 
 
-def dict_to_instance(doc: Any) -> Instance:
+def _parse_json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+        raise FormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("invalid JSON: nested too deeply") from exc
+
+
+def loads_instance(text: str) -> Instance:
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise FormatError("instance document must be a JSON object")
     for key in ("players", "k", "s", "hands", "objectives"):
@@ -209,19 +219,6 @@ def dumps_instance(instance: Instance, meta: dict | None = None) -> str:
     return text + "\n}\n"
 
 
-def _parse_json(text: str) -> Any:
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-        raise FormatError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise FormatError("invalid JSON: nested too deeply") from exc
-
-
-def loads_instance(text: str) -> Instance:
-    return dict_to_instance(_parse_json(text))
-
-
 def _trick(t: int, plays: tuple[Play, ...]) -> Trick:
     try:
         return Trick(lead=plays[0].player, plays=plays)
@@ -229,8 +226,9 @@ def _trick(t: int, plays: tuple[Play, ...]) -> Trick:
         raise FormatError(f"tricks[{t}]: {exc}") from exc
 
 
-def dict_to_witness(doc: Any) -> PlaySequence:
+def loads_witness(text: str) -> PlaySequence:
     """Rebuild a play sequence; rotation order is re-derived and enforced."""
+    doc = _parse_json(text)
     if not isinstance(doc, dict) or "lead" not in doc or "tricks" not in doc:
         raise FormatError("witness document must carry 'lead' and 'tricks'")
     lead = _expect_int(doc["lead"], "lead")
@@ -268,7 +266,3 @@ def dumps_witness(sequence: PlaySequence) -> str:
         json.dumps(sequence.first_lead),
         _array(tricks, "  "),
     )
-
-
-def loads_witness(text: str) -> PlaySequence:
-    return dict_to_witness(_parse_json(text))
