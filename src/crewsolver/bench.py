@@ -25,7 +25,7 @@ from time import perf_counter
 from .generate import gen_general, gen_single_suit, gen_single_value, gen_ss_owned
 from .model import Instance, Objective, classify
 from .serialize import dumps_instance, dumps_witness, loads_instance
-from .solvers import solve, solve_exhaustive
+from .solvers import solve
 from .verify import verify_sequence
 
 
@@ -149,7 +149,7 @@ def run_suite(quick: bool = False) -> list[BenchRow]:
     deal = gen_general(32, 4, 6, seed=0)
     budget = 20_000 if quick else 200_000
     reports = []
-    median_s = _clocked(lambda: reports.append(solve_exhaustive(deal, budget=budget)), runs)
+    median_s = _clocked(lambda: reports.append(solve(deal, force="exhaustive", budget=budget)), runs)
     report = reports[-1]
     rows.append(
         BenchRow(

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .model import InstanceClass, classify
 from .serialize import dumps_instance, dumps_witness, loads_instance, loads_witness
-from .solvers import SOLVER_IDS, solve_classified
+from .solvers import SOLVER_IDS, solve
 from .verify import verify_sequence
 
 
@@ -75,7 +75,6 @@ def _emit(doc: dict | list, as_json: bool, text: str) -> None:
 
 def _cmd_solve(args) -> int:
     instance = _load(args.instance, loads_instance)
-    cls = classify(instance)
     budget = args.budget
     if budget is None:
         raw = os.environ.get("CREW_BUDGET", "")
@@ -83,7 +82,7 @@ def _cmd_solve(args) -> int:
             budget = _budget(raw) if raw else 0
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"CREW_BUDGET {exc}") from exc
-    report = solve_classified(instance, cls, force=args.force, budget=budget, want_witness=True)
+    report = solve(instance, force=args.force, budget=budget)
 
     witness_path = None
     if report.decision and args.witness_out:
@@ -94,7 +93,7 @@ def _cmd_solve(args) -> int:
     doc = {
         "decision": report.decision,
         "solver": report.solver_id,
-        "class": cls.value,
+        "class": report.instance_class.value,
         "stats": {
             "nodes": stats.nodes,
             "tricks": stats.tricks,

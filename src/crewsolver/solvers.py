@@ -24,16 +24,18 @@ Four solvers share one report shape, each named by its id in ``SOLVER_IDS``:
   hand finds every discard.
 * ``"exhaustive"`` — complete memoized search; the only solver that
   accepts tokens and a trump suit, and the oracle the others are tested
-  against (``solve_exhaustive``).  ``_exhaustive`` encodes the deal as the
+  against (``force="exhaustive"``).  ``_exhaustive`` encodes the deal as the
   integer arrays of the search kernel, ``crewsolver._search_py``, and
   decodes the line it finds.
 
-``solve`` dispatches on :func:`crewsolver.model.classify`, run once per
-call; a ``force`` argument picks the solver by id but still enforces its
-class.  Every solver reports through ``_run``, which times the run, checks
-the exhaustive budget and decides a deal with no objectives before any
-solver body sees it: such a deal is won with no tricks.  Nothing here reads
-the environment: the node budget is an argument (0 = unlimited).
+``solve`` is the one entry: it runs :func:`crewsolver.model.classify`
+once, picks the solver (``force``, or else the first id in ``_ACCEPTS``
+whose classes include the deal's, most specific first), rejects a forced
+solver outside its classes, checks the exhaustive budget, wins a deal with
+no objectives before any solver body sees it, times the body and builds
+the report, which names the class.  ``solve_exhaustive`` is
+``solve(instance, "exhaustive", ...)``.  Nothing here reads the
+environment: the node budget is an argument (0 = unlimited).
 """
 
 from __future__ import annotations
@@ -77,13 +79,15 @@ class SolveReport:
 
     ``decision`` is ``None`` only when the exhaustive solver hit its node
     budget.  ``witness`` is present exactly when the decision is true and a
-    witness was requested.
+    witness was requested.  ``instance_class`` is the deal's class, which
+    ``solve`` computes once whichever solver runs.
     """
 
     decision: bool | None
     witness: PlaySequence | None
     solver_id: str
     stats: SolveStats
+    instance_class: InstanceClass
 
 
 # The classes each solver decides; ``solve`` may not force one outside them.
@@ -288,27 +292,6 @@ def _exhaustive(
     return True, PlaySequence(line[0].lead, tuple(line)), nodes
 
 
-def solve_exhaustive(
-    instance: Instance,
-    budget: int = 0,
-    want_witness: bool = True,
-) -> SolveReport:
-    """Decide any instance by complete search.
-
-    ``budget`` caps search nodes (0 means unlimited, a negative budget
-    raises ``ValueError``); a ``decision`` of ``None`` reports an exhausted
-    budget rather than an answer.
-    """
-    return _run(instance, "exhaustive", budget, want_witness)
-
-
-_SOLVER_FOR_CLASS = {
-    InstanceClass.SINGLE_VALUE: "single-value",
-    InstanceClass.SINGLE_SUIT_OWNED: "ss-owned",
-    InstanceClass.SINGLE_SUIT: "single-suit",
-    InstanceClass.GENERAL: "exhaustive",
-}
-
 SOLVER_IDS = tuple(_ACCEPTS)
 
 
@@ -318,42 +301,23 @@ def solve(
     budget: int = 0,
     want_witness: bool = True,
 ) -> SolveReport:
-    """Classify and dispatch; ``force`` picks a solver but may not widen it."""
-    return solve_classified(instance, classify(instance), force, budget, want_witness)
+    """Classify ``instance`` once, run the solver ``force`` names, or else
+    the first in ``_ACCEPTS`` that takes its class, and report the result.
 
-
-def solve_classified(
-    instance: Instance,
-    cls: InstanceClass,
-    force: str | None = None,
-    budget: int = 0,
-    want_witness: bool = True,
-) -> SolveReport:
-    """``solve`` for a caller that already holds ``cls = classify(instance)``,
-    so a big deal is classified once."""
-    solver_id = force or _SOLVER_FOR_CLASS[cls]
+    ``force`` picks a solver but may not widen it past its classes.  A deal
+    with no objectives is won here with no tricks, so the solver bodies,
+    which return ``(decision, witness, tricks or nodes)``, never see one.
+    Only the exhaustive search reads ``budget``, and checks it even on such
+    a deal.  ``stats.elapsed`` times the solver body alone.
+    """
+    cls = classify(instance)
+    solver_id = next(s for s, cs in _ACCEPTS.items() if cls in cs) if force is None else force
     if solver_id not in _ACCEPTS:
         raise ValueError(f"unknown solver {force!r}; expected one of {SOLVER_IDS}")
     if cls not in _ACCEPTS[solver_id]:
         raise SolverMismatchError(
             f"solver {solver_id!r} cannot handle a {cls.value!r} instance"
         )
-    return _run(instance, solver_id, budget, want_witness)
-
-
-def _run(
-    instance: Instance,
-    solver_id: str,
-    budget: int,
-    want_witness: bool,
-) -> SolveReport:
-    """Run one solver on a deal of a class it accepts and report the result.
-
-    A deal with no objectives is won here with no tricks, so the solver
-    bodies, which return ``(decision, witness, tricks or nodes)``, never
-    see one.  Only the exhaustive search reads ``budget``, and checks it
-    even on such a deal.
-    """
     t0 = perf_counter()
     nodes, kernel = 0, ""
     if solver_id == "exhaustive":
@@ -370,4 +334,19 @@ def _run(
         body = _single_value if solver_id == "single-value" else _single_suit
         decision, witness, tricks = body(instance)
     stats = SolveStats(nodes, tricks, perf_counter() - t0, kernel)
-    return SolveReport(decision, witness if want_witness else None, solver_id, stats)
+    return SolveReport(decision, witness if want_witness else None, solver_id, stats, cls)
+
+
+def solve_exhaustive(
+    instance: Instance,
+    budget: int = 0,
+    want_witness: bool = True,
+) -> SolveReport:
+    """``solve(instance, "exhaustive", budget, want_witness)``: complete
+    search on any deal.
+
+    ``budget`` caps search nodes (0 means unlimited, a negative budget
+    raises ``ValueError``); a ``decision`` of ``None`` reports an exhausted
+    budget rather than an answer.
+    """
+    return solve(instance, "exhaustive", budget, want_witness)
