@@ -238,6 +238,22 @@ class TestSolve:
         assert json.loads(capsys.readouterr().out)["class"] == "ss-owned"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("cls", ["single-value", "ss-owned", "single-suit", "general"])
+    def test_solve_reads_class_from_report(self, cls, tmp_path, capsys, monkeypatch):
+        """``crew solve`` prints the class that ``solve`` computed, and the
+        deal is classified once, inside ``solve``."""
+        import crewsolver.solvers as solvers
+        from crewsolver.generate import GENERATORS
+        from crewsolver.model import classify
+
+        calls = []
+        monkeypatch.setattr(solvers, "classify", lambda i: calls.append(i) or classify(i))
+        path = tmp_path / "deal.json"
+        path.write_text(dumps_instance(GENERATORS[cls](12, 3, 3, 0)))
+        assert entry(["solve", str(path), "--json"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["class"] == cls
+        assert len(calls) == 1
+
 
 class TestParser:
     def test_build_error_exits_two(self, monkeypatch, capsys):

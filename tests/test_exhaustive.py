@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib.util
+import json
 import random
 from pathlib import Path
 
@@ -11,8 +13,10 @@ from crewsolver import _search_py
 from crewsolver.generate import gen_general, gen_graph
 from crewsolver.model import Card, Instance, Objective, Play, TokenConstraint, Trick
 from crewsolver.reduction import reduce_hp, reduce_hp_tokens, reduce_hp_trump
-from crewsolver.solvers import solve_exhaustive
+from crewsolver.serialize import dumps_instance
+from crewsolver.solvers import solve, solve_exhaustive
 from crewsolver.verify import PlaySequence, Reason, verify_sequence
+from test_reduce import all_graphs
 
 
 def test_no_objectives_short_circuit(uneven_deal):
@@ -233,3 +237,44 @@ def test_tokens_broken_gets_objective_masks(monkeypatch):
         (0, 8), (8, 1), (8, 2), (10, 1), (8, 4), (12, 1),
         (0, 1), (0, 2), (2, 1), (2, 8), (10, 4), (14, 1),
     ]
+
+
+def _independent_search():
+    """``perfbench/checks.py``, a search over JSON documents that shares no
+    code with the package, loaded by path as it is."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    assert path.is_file(), f"the independent search is missing: {path}"
+    spec = importlib.util.spec_from_file_location("independent_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.brute_force
+
+
+def test_decisions_match_independent_search():
+    """Differential test (McKeeman 1998): the kernel's decision equals a
+    brute-force search's on 400 small general deals, NO answers with tokens
+    and trump included, and on the three reductions of every graph with at
+    most 3 vertices."""
+    brute_force = _independent_search()
+    deals = []
+    for seed in range(400):
+        r = random.Random(seed)
+        p = r.choice((2, 3))
+        n = p * r.randint(1, 4)
+        deals.append(gen_general(n, p, r.randint(1, min(4, n)), seed))
+    mix = (
+        sum(bool(d.tokens) for d in deals),
+        sum(d.trump_suit is not None for d in deals),
+    )
+    for vertices in (1, 2, 3):
+        for g in all_graphs(vertices):
+            deals += [reduce_hp(g), reduce_hp_tokens(g)]
+            if vertices >= 2:
+                deals.append(reduce_hp_trump(g))
+    assert len(deals) == 432 and mix == (141, 131)
+    yes = 0
+    for row, inst in enumerate(deals):
+        decision = solve(inst, force="exhaustive").decision
+        assert decision is brute_force(json.loads(dumps_instance(inst))), row
+        yes += row < 400 and decision
+    assert yes == 159

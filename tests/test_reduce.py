@@ -209,10 +209,14 @@ class TestEquivalence:
     def test_small_graphs_all_variants(self, vertices):
         for g in all_graphs(vertices):
             expected, path = hp_bruteforce(g)
-            assert solve_exhaustive(reduce_hp(g)).decision is expected
-            assert solve_exhaustive(reduce_hp_tokens(g)).decision is expected
+            deals = [reduce_hp(g), reduce_hp_tokens(g)]
             if vertices >= 2:
-                assert solve_exhaustive(reduce_hp_trump(g)).decision is expected
+                deals += [reduce_hp_trump(g, count) for count in (1, 2, 3)]
+            for inst in deals:
+                report = solve_exhaustive(inst)
+                assert report.decision is expected
+                if expected:
+                    assert verify_sequence(inst, report.witness).accepted
             if expected:
                 seq = path_to_witness(g, path)
                 assert verify_sequence(reduce_hp(g), seq).accepted

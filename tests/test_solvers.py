@@ -249,12 +249,18 @@ def test_single_suit_witness_pinned(args, tricks, digest):
 
 class TestDispatcher:
     def test_routes_by_class(self, uneven_deal):
-        assert solve(_ones((1, 2), (3,))).solver_id == "single-value"
         owned = _suit1((5, 2), (4, 1), objectives=((5, 1),))
-        assert solve(owned).solver_id == "ss-owned"
         external = _suit1((9, 1), (5, 2), objectives=((5, 1),))
-        assert solve(external).solver_id == "single-suit"
-        assert solve(uneven_deal).solver_id == "exhaustive"
+        for inst, solver_id, cls in [
+            (_ones((1, 2), (3,)), "single-value", InstanceClass.SINGLE_VALUE),
+            (owned, "ss-owned", InstanceClass.SINGLE_SUIT_OWNED),
+            (external, "single-suit", InstanceClass.SINGLE_SUIT),
+            (uneven_deal, "exhaustive", InstanceClass.GENERAL),
+        ]:
+            report = solve(inst)
+            assert (report.solver_id, report.instance_class) == (solver_id, cls)
+        forced = solve(owned, force="exhaustive")
+        assert forced.instance_class is InstanceClass.SINGLE_SUIT_OWNED
 
     def test_tokens_route_to_exhaustive(self):
         inst = _suit1(
@@ -279,8 +285,9 @@ class TestDispatcher:
         assert report.decision is True
 
     def test_unknown_force_rejected(self, uneven_deal):
-        with pytest.raises(ValueError, match="unknown solver"):
-            solve(uneven_deal, force="magic")
+        for force in ("magic", ""):
+            with pytest.raises(ValueError, match="unknown solver"):
+                solve(uneven_deal, force=force)
 
     def test_budget_exhaustion_is_none(self, uneven_deal):
         report = solve(uneven_deal, force="exhaustive", budget=1)
