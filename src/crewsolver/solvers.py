@@ -91,6 +91,7 @@ class SolveReport:
 
 
 # The classes each solver decides; ``solve`` may not force one outside them.
+# Most specific first: unforced, ``solve`` runs the first that takes the class.
 _ACCEPTS = {
     "single-value": {InstanceClass.SINGLE_VALUE},
     "ss-owned": {InstanceClass.SINGLE_SUIT_OWNED},
