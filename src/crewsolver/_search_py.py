@@ -25,10 +25,15 @@ index, so the relabel leaves the search unchanged.  With that layout the
 collapse test is one bitmask step: the lowest live-or-on-table bit above a
 card in its suit is its successor.  Every player plays exactly one card per
 trick, so at trick depth ``d`` every hand holds its starting size minus ``d``
-cards; the distinct-owner bound and the empty-hand test are arithmetic on
-the smallest starting hand, and the distinct-owner count is cached per set
-of open objective cards.  Within a suit a higher label is a higher card, so
-the seat loop compares labels, never values.
+cards; the distinct-owner bound is arithmetic on the smallest starting hand,
+and it is also the empty-hand cut, since the count is at least 1 while an
+objective is open.  The count is cached per set of open objective cards.
+Within a suit a higher label is a higher card, so the seat loop compares
+labels, never values.
+
+The recursion has two frame kinds, p + 1 frames per trick: ``boundary``
+settles the finished trick and opens the next, and ``seat`` plays one card;
+the last seat calls ``boundary`` directly.
 
 A position between tricks is the pair ``(rem, lead)`` of live cards and
 leader, and the failed-position memo holds it as the one int
@@ -78,8 +83,6 @@ def search(
     in rotation order from that trick's lead.
     """
     n = len(values)
-    if not obj_card:
-        return (WIN, [], [], 0)
     limit = budget if budget > 0 else 1 << 63
 
     # Internal label i is caller card orig[i]: suits in order, each suit
@@ -138,34 +141,13 @@ def search(
     blocked: dict[tuple[int, int], bool] = {}
     nodes = 0
     final_depth = 0
+    last = p - 1
 
     def labels(cards: int):
         while cards:
             low = cards & -cards
             yield low.bit_length() - 1
             cards ^= low
-
-    def resolve(rem: int, start: int, best: int, depth: int) -> int:
-        # Every objective card on the table belongs to the winner: the seat
-        # loop drops a card of a second owner, and by the last seat every
-        # owner has played, so it drops a trick its owner is not winning.
-        nonlocal final_depth
-        new = (start ^ rem) & obj_cards
-        if new and tokens_broken is not None:
-            key = (start & obj_cards, new)
-            block = blocked.get(key)
-            if block is None:
-                done = sum(obj_bit_of[i] for i in labels(obj_cards & ~start))
-                won = sum(obj_bit_of[i] for i in labels(new))
-                block = blocked[key] = tokens_broken(done, won)
-            if block:
-                return LOSS
-        if not rem & obj_cards:
-            final_depth = depth + 1
-            return WIN
-        if min_size <= depth + 1:
-            return LOSS
-        return boundary(rem, owner[best], depth + 1)
 
     def seat(
         rem: int,
@@ -179,8 +161,6 @@ def search(
     ) -> int:
         # ``start`` is ``rem`` at the lead: the live cards and those on the table.
         nonlocal nodes
-        if seat_no == p:
-            return resolve(rem, start, best, depth)
         player = (lead + seat_no) % p
         cand = hand_mask[player] & rem
         if seat_no > 0:
@@ -222,22 +202,36 @@ def search(
                 if owner_seat <= seat_no and owner[new_best] != new_owner:
                     continue
             row[seat_no] = c
-            res = seat(
-                rem & ~bit,
-                start,
-                lead,
-                seat_no + 1,
-                new_led,
-                new_best,
-                new_owner,
-                depth,
-            )
+            if seat_no == last:
+                res = boundary(rem & ~bit, start, owner[new_best], depth + 1)
+            else:
+                res = seat(
+                    rem & ~bit, start, lead, seat_no + 1, new_led, new_best, new_owner, depth
+                )
             if res != LOSS:
                 return res
         return LOSS
 
-    def boundary(rem: int, lead: int, depth: int) -> int:
+    def boundary(rem: int, start: int, lead: int, depth: int) -> int:
+        # ``start`` is ``rem`` at the last trick's lead.  Every objective
+        # card that trick took belongs to its winner: the seat loop drops a
+        # card of a second owner, and by the last seat every owner has
+        # played, so it drops a trick its owner is not winning.
+        nonlocal final_depth
+        new = (start ^ rem) & obj_cards
+        if new and tokens_broken is not None:
+            key = (start & obj_cards, new)
+            block = blocked.get(key)
+            if block is None:
+                done = sum(obj_bit_of[i] for i in labels(obj_cards & ~start))
+                won = sum(obj_bit_of[i] for i in labels(new))
+                block = blocked[key] = tokens_broken(done, won)
+            if block:
+                return LOSS
         open_cards = rem & obj_cards
+        if not open_cards:
+            final_depth = depth
+            return WIN
         count = owner_count.get(open_cards)
         if count is None:
             count = owner_count[open_cards] = len({obj_owner_of[i] for i in labels(open_cards)})
@@ -255,7 +249,7 @@ def search(
     full_mask = (1 << n) - 1
     leads = [first_lead] if first_lead >= 0 else list(range(p))
     for lead in leads:
-        res = boundary(full_mask, lead, 0)
+        res = boundary(full_mask, full_mask, lead, 0)
         if res == WIN:
             return (
                 WIN,
