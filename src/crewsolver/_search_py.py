@@ -220,12 +220,12 @@ def search(
         nonlocal final_depth
         new = (start ^ rem) & obj_cards
         if new and tokens_broken is not None:
-            key = (start & obj_cards, new)
-            block = blocked.get(key)
+            pair = (start & obj_cards, new)
+            block = blocked.get(pair)
             if block is None:
                 done = sum(obj_bit_of[i] for i in labels(obj_cards & ~start))
                 won = sum(obj_bit_of[i] for i in labels(new))
-                block = blocked[key] = tokens_broken(done, won)
+                block = blocked[pair] = tokens_broken(done, won)
             if block:
                 return LOSS
         open_cards = rem & obj_cards

@@ -208,7 +208,9 @@ class TestSolve:
         assert lines == [lines[0]] and lines[0].startswith(f"error: {path}: invalid JSON")
 
     def test_crash_is_error_not_no(self, tmp_path, capsys):
-        # The recursive kernel runs out of stack on a 600-trick deal.
+        # The recursive kernel spends 3 frames per trick at p = 2, so a
+        # 600-trick line still overflows the default recursion limit of 1000;
+        # an iterative kernel would remove this crash.
         from crewsolver.generate import gen_general
 
         path = tmp_path / "long.json"
@@ -217,6 +219,16 @@ class TestSolve:
         lines = capsys.readouterr().err.splitlines()
         assert lines == [lines[0]] and lines[0].startswith("error: RecursionError: ")
 
+    def test_deep_line_is_answered(self, tmp_path):
+        # A 199-trick line at 3 frames per trick fits the default limit.
+        from crewsolver.generate import gen_general
+
+        path = tmp_path / "deep.json"
+        witness = tmp_path / "w.json"
+        path.write_text(dumps_instance(gen_general(600, 2, 2, 0)))
+        args = ["solve", str(path), "--budget", "100000", "--witness-out", str(witness)]
+        assert entry(args) == 0
+        assert entry(["verify", str(path), str(witness)]) == 0
 
     def test_classifies_once(self, tmp_path, capsys, monkeypatch):
         import crewsolver.cli as cli

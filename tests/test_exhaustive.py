@@ -7,6 +7,7 @@ import dataclasses
 import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 
 from crewsolver import _search_py
@@ -41,6 +42,25 @@ def test_known_deal_canonical_line(uneven_deal):
     ]
     assert len(witness.tricks) == 2
     assert verify_sequence(uneven_deal, witness).accepted
+
+
+def test_deep_line_answered_in_process():
+    """A 199-trick line at p = 2 is found within 700 frames above the
+    caller's, which a kernel spending more than about 3 frames per trick
+    cannot do."""
+    deal = gen_general(600, 2, 2, 0)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 700)
+    try:
+        report = solve(deal, budget=100_000)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert report.decision is True
+    assert (report.stats.nodes, len(report.witness.tricks)) == (398, 199)
+    assert verify_sequence(deal, report.witness).accepted
 
 
 def test_budget_cut(uneven_deal):
