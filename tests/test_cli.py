@@ -343,6 +343,24 @@ class TestVerify:
             "detail": "",
         }
 
+    def test_json_rejected_bytes(self, deal_file, tmp_path, capsys, trick_builder):
+        # Player 2 sluffs (2,3) while still holding the led suit.  The exact
+        # text pins the key order and the reason's value.
+        from crewsolver.verify import PlaySequence
+
+        trick = trick_builder(1, [(4, 1), (2, 3), (5, 2), (1, 1)])
+        path = tmp_path / "sluff.json"
+        path.write_text(dumps_witness(PlaySequence(first_lead=1, tricks=(trick,))))
+        assert entry(["verify", deal_file, str(path), "--json"]) == 1
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "accepted": false,\n'
+            '  "reason": "FOLLOW_SUIT_VIOLATION",\n'
+            '  "trick_index": 0,\n'
+            '  "detail": "player 2 must follow suit 1"\n'
+            "}\n"
+        )
+
 
 class TestReduce:
     def test_stdout_document(self, tmp_path, capsys):
@@ -472,7 +490,7 @@ class TestBench:
         names = {r["name"] for r in rows}
         assert any("exhaustive kernel" in n for n in names)
         for row in rows:
-            assert set(row) == {"name", "runs", "median_s", "target_s", "note"}
+            assert list(row) == ["name", "runs", "median_s", "target_s", "note"]
 
     def test_quick_serialize_rows(self, quick_bench_rows):
         rows = {r["name"]: r for r in quick_bench_rows}
