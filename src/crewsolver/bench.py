@@ -17,10 +17,11 @@ from __future__ import annotations
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from statistics import median
 from time import perf_counter
+from typing import NamedTuple
 
 from .generate import gen_general, gen_single_suit, gen_single_value, gen_ss_owned
 from .model import Instance, Objective, classify
@@ -29,8 +30,7 @@ from .solvers import solve
 from .verify import verify_sequence
 
 
-@dataclass(frozen=True, slots=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     name: str
     runs: int
     median_s: float

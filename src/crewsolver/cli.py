@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .model import InstanceClass, classify
@@ -125,12 +124,7 @@ def _cmd_verify(args) -> int:
     instance = _load(args.instance, loads_instance)
     sequence = _load(args.witness, loads_witness)
     verdict = verify_sequence(instance, sequence)
-    doc = {
-        "accepted": verdict.accepted,
-        "reason": verdict.reason.value if verdict.reason else None,
-        "trick_index": verdict.trick_index,
-        "detail": verdict.detail,
-    }
+    doc = dict(verdict._asdict(), reason=verdict.reason.value if verdict.reason else None)
     if verdict.accepted:
         _emit(doc, args.json, "accepted")
         return 0
@@ -212,7 +206,7 @@ def _cmd_bench(args) -> int:
     from .bench import format_rows, run_suite
 
     rows = run_suite(quick=args.quick)
-    doc = [dict(asdict(r), median_s=round(r.median_s, 6)) for r in rows]
+    doc = [dict(r._asdict(), median_s=round(r.median_s, 6)) for r in rows]
     _emit(doc, args.json, format_rows(rows))
     return 0
 

@@ -55,8 +55,7 @@ class Play(NamedTuple):
     card: Card
 
 
-@dataclass(frozen=True, slots=True)
-class TokenConstraint:
+class TokenConstraint(NamedTuple):
     """Ordering constraint attached to one objective.
 
     Every objective index in ``before`` must complete no later than the

@@ -72,7 +72,7 @@ _KEYS = {
     Card: ("v", "s"),
     Objective: Objective._fields,
     Play: Play._fields,
-    TokenConstraint: ("objective", "before", "after"),
+    TokenConstraint: TokenConstraint._fields,
 }
 
 

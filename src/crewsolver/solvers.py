@@ -41,9 +41,9 @@ environment: the node budget is an argument (0 = unlimited).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter, neg
 from time import perf_counter
+from typing import NamedTuple
 
 from . import _search_py
 from .model import (
@@ -65,16 +65,14 @@ class SolverMismatchError(ValueError):
     """A solver was forced onto an instance outside its class."""
 
 
-@dataclass(frozen=True, slots=True)
-class SolveStats:
+class SolveStats(NamedTuple):
     nodes: int = 0
     tricks: int = 0
     elapsed: float = 0.0
     kernel: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Outcome of one solver run.
 
     ``decision`` is ``None`` only when the exhaustive solver hit its node

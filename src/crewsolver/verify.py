@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
+from typing import NamedTuple
 
 from .model import Instance, PlayError, TokenConstraint, Trick, trick_winner
 
@@ -45,8 +46,7 @@ class PlaySequence:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     accepted: bool
     reason: Reason | None = None
     trick_index: int | None = None
