@@ -378,3 +378,32 @@ def test_only_cli_imports_os():
             if any(name.split(".")[0] == "os" for name in names):
                 importers.add(path.name)
     assert importers == {"cli.py"}
+
+
+def test_records_that_check_nothing_are_tuples(uneven_deal, uneven_deal_win):
+    """A dataclass in the package exists to check its fields when built, so
+    each one defines ``__post_init__``; a record that checks nothing is a
+    ``NamedTuple``.  Either way the records are immutable."""
+    unchecked = set()
+    for path in Path(crewsolver.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(ast.unparse(d).split(".")[-1] == "dataclass" for d in decorators):
+                continue
+            methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            if "__post_init__" not in methods:
+                unchecked.add(f"{path.name}:{node.name}")
+    assert unchecked == set()
+
+    report = solve(uneven_deal)
+    records = {
+        "decision": report,
+        "nodes": report.stats,
+        "accepted": verify_sequence(uneven_deal, uneven_deal_win),
+        "objective": TokenConstraint(0),
+    }
+    for field, record in records.items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
