@@ -8,9 +8,8 @@ accepting line found is always the same one.
 
 All pruning is decision-exact and cannot change the first accepting line:
 
-* distinct-owner bound — objectives completed in one trick all belong to the
-  trick's winner, so a position with more distinct uncompleted-objective
-  owners than the smallest hand size is lost;
+* tricks-needed bound — a position is lost when its open objective cards
+  need more tricks than are left (see ``_tricks_needed``);
 * misroute pairs — two uncompleted objective cards with different owners in
   the same trick guarantee a misroute, as does an objective card whose owner
   has already played and is not currently winning the trick;
@@ -25,9 +24,11 @@ index, so the relabel leaves the search unchanged.  With that layout the
 collapse test is one bitmask step: the lowest live-or-on-table bit above a
 card in its suit is its successor.  Every player plays exactly one card per
 trick, so at trick depth ``d`` every hand holds its starting size minus ``d``
-cards; the distinct-owner bound is arithmetic on the smallest starting hand,
-and it is also the empty-hand cut, since the count is at least 1 while an
-objective is open.  The count is cached per set of open objective cards.
+cards, and ``min_size - d`` tricks are left.  The tricks-needed bound
+compares that with a count of the open objective cards alone, and it is
+also the empty-hand cut, since the count is at least 1 while an objective
+is open.  Cards never change hands, so the count is cached per set of open
+objective cards.
 Within a suit a higher label is a higher card, so the seat loop compares
 labels, never values.
 
@@ -59,6 +60,30 @@ from collections.abc import Callable
 WIN = 1
 LOSS = 0
 CUT = -1
+
+
+def _tricks_needed(open_cards: int, obj_seats: dict[int, tuple[int, int]]) -> int:
+    """The fewest tricks that can take the objective cards of ``open_cards``.
+
+    ``obj_seats`` maps an objective card's label to its objective's owner
+    and the card's holder.  Each open objective card must fall in a trick
+    that its owner wins, and a trick has one winner, so different owners
+    need different tricks.  A holder plays one card per trick, so the
+    ``c(w, h)`` open objective cards of owner ``w`` held by ``h`` (``h = w``
+    included) fall in ``c(w, h)`` different tricks, all won by ``w``.  So
+    at least ``Σ_w max_h c(w, h)`` tricks are still needed.
+    """
+    held: dict[tuple[int, int], int] = {}
+    while open_cards:
+        low = open_cards & -open_cards
+        seats = obj_seats[low.bit_length() - 1]
+        held[seats] = held.get(seats, 0) + 1
+        open_cards ^= low
+    most: dict[int, int] = {}
+    for (w, _), c in held.items():
+        if c > most.get(w, 0):
+            most[w] = c
+    return sum(most.values())
 
 
 def search(
@@ -104,12 +129,15 @@ def search(
     for i, s in enumerate(suit):
         suit_mask[s] |= 1 << i
 
-    # Per objective card's label: its objective's bit and its owner.
+    # Per objective card's label: its objective's bit, its owner, and
+    # (owner, holder) for _tricks_needed.
     obj_bit_of = {}
     obj_owner_of = {}
+    obj_seats = {}
     for o, c in enumerate(obj_card):
         obj_bit_of[label[c]] = 1 << o
         obj_owner_of[label[c]] = obj_owner[o]
+        obj_seats[label[c]] = (obj_owner[o], owners[c])
     obj_cards = sum(1 << i for i in obj_bit_of)
     hand_nonobj = [m & ~obj_cards for m in hand_mask]
 
@@ -135,8 +163,8 @@ def search(
     trick_leads = [-1] * max_tricks
 
     failed: set[int] = set()
-    # Distinct owners per set of open objective cards.
-    owner_count: dict[int, int] = {}
+    # _tricks_needed per set of open objective cards.
+    needed: dict[int, int] = {}
     # tokens_broken's answer per (open, newly won) objective cards.
     blocked: dict[tuple[int, int], bool] = {}
     nodes = 0
@@ -232,9 +260,9 @@ def search(
         if not open_cards:
             final_depth = depth
             return WIN
-        count = owner_count.get(open_cards)
+        count = needed.get(open_cards)
         if count is None:
-            count = owner_count[open_cards] = len({obj_owner_of[i] for i in labels(open_cards)})
+            count = needed[open_cards] = _tricks_needed(open_cards, obj_seats)
         if count > min_size - depth:
             return LOSS
         key = rem * p + lead

@@ -7,9 +7,11 @@ carry the target for comparison; the ``loads_instance``, ``classify``,
 ``dumps_witness`` and ``verify_sequence`` rows time the other phases of the
 CLI path around the ss-owned solve, which on big polynomial deals can cost
 more than the solve; the exhaustive row runs a general deal that no search
-decides within its fixed node budget, and reports the node count, nodes per second and decision beside its time;
-the last row times whole ``crew solve`` child processes on a small deal, so
-the start-up cost (interpreter plus imports) shows beside the work.
+decides within its fixed node budget, and reports the node count, nodes per
+second and decision beside its time, with the caveat that the recursive
+kernel's nodes per second moves by up to 1.6x with the caller's stack
+depth; the last row times whole ``crew solve`` child processes on a small
+deal, so the start-up cost (interpreter plus imports) shows beside the work.
 """
 
 from __future__ import annotations
@@ -158,7 +160,8 @@ def run_suite(quick: bool = False) -> list[BenchRow]:
             median_s,
             None,
             f"nodes={report.stats.nodes} nodes/s={report.stats.nodes / median_s:.0f} "
-            f"decision={report.decision}",
+            f"decision={report.decision} (nodes/s moves by up to 1.6x with the "
+            "caller's stack depth)",
         )
     )
     rows.append(_cli_row())

@@ -10,7 +10,8 @@ the deal, its budget, the decision and the sha256 of ``dumps_witness`` of its
 winning line; ``nodes`` gives the node count.  A change that moves node
 counts alone (a new prune) thus shows as a diff of ``nodes`` only, and one
 that moves a decision or a witness as a diff of ``deals``.
-``test_parity.py`` re-solves each deal and compares.
+``test_parity.py`` re-solves each deal and compares.  Before it overwrites
+the file, the script prints what changed against it (``summary``).
 
 The deals: the 80 ``gen_general(n, 4, 6, seed)`` deals with n = 24-32 and
 seeds 0-15, and the three Hamiltonian-path reductions of the 24 graphs of
@@ -85,6 +86,46 @@ def digest(witness) -> str | None:
     return hashlib.sha256(dumps_witness(witness).encode()).hexdigest()
 
 
+def summary(old: dict, new: dict) -> list[str]:
+    """What moved between two corpora, one line per kind of change: decided
+    answers or witnesses that changed, undecided deals that became decided,
+    node counts that fell or rose, and the node totals."""
+    both = [key for key in new["deals"] if key in old["deals"]]
+
+    def outcome(corpus: dict, key: str):
+        deal = corpus["deals"][key]
+        return deal["decision"], deal["witness_sha256"]
+
+    changed = [
+        key
+        for key in both
+        if old["deals"][key]["decision"] is not None and outcome(old, key) != outcome(new, key)
+    ]
+    decided = [
+        f"{key} -> {'YES' if new['deals'][key]['decision'] else 'NO'}"
+        for key in both
+        if old["deals"][key]["decision"] is None and new["deals"][key]["decision"] is not None
+    ]
+    fell = [key for key in both if new["nodes"][key] < old["nodes"][key]]
+    rose = [key for key in both if new["nodes"][key] > old["nodes"][key]]
+    lines = [
+        f"decided answers or witnesses changed: {len(changed)}",
+        *(f"  {key}" for key in changed),
+        f"undecided deals decided: {len(decided)}",
+        *(f"  {line}" for line in decided),
+        f"node counts fell: {len(fell)}",
+        f"node counts rose: {len(rose)}",
+        *(f"  {key}" for key in rose),
+        f"nodes in all: {sum(old['nodes'][k] for k in both):,} -> "
+        f"{sum(new['nodes'][k] for k in both):,}",
+    ]
+    added = new["deals"].keys() - old["deals"].keys()
+    dropped = old["deals"].keys() - new["deals"].keys()
+    if added or dropped:
+        lines.append(f"deals added: {len(added)}, dropped: {len(dropped)}")
+    return lines
+
+
 def main() -> None:
     table, nodes = {}, {}
     for kind, args, budget in deals():
@@ -105,6 +146,9 @@ def main() -> None:
     def rows(entries: dict) -> str:
         return ",\n".join(f"    {json.dumps(k)}: {json.dumps(v)}" for k, v in entries.items())
 
+    if CORPUS_PATH.exists():
+        old = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+        print("\n".join(summary(old, {"deals": table, "nodes": nodes})))
     CORPUS_PATH.write_text(
         "{\n"
         f'  "deals": {{\n{rows(table)}\n  }},\n'

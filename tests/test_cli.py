@@ -502,6 +502,13 @@ class TestBench:
         assert rows["classify ss-owned n=20000"]["median_s"] > 0
         assert rows["verify_sequence ss-owned n=20000"]["note"] == "plays=3200"
 
+    def test_quick_exhaustive_row(self, quick_bench_rows):
+        rows = [r for r in quick_bench_rows if r["name"].startswith("exhaustive kernel")]
+        assert len(rows) == 1
+        note = rows[0]["note"]
+        assert note.startswith("nodes=20001 nodes/s=") and "decision=None" in note
+        assert note.endswith("(nodes/s moves by up to 1.6x with the caller's stack depth)")
+
     def test_quick_cli_row(self, quick_bench_rows):
         rows = [r for r in quick_bench_rows if r["name"].startswith("crew solve child")]
         assert len(rows) == 1

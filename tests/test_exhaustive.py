@@ -8,6 +8,7 @@ import importlib.util
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from crewsolver import _search_py
@@ -270,11 +271,45 @@ def _independent_search():
     return module.brute_force
 
 
+def _tricks_needed(inst: Instance) -> int:
+    """``Σ_w max_h c(w, h)`` at the start of a deal, where ``c(w, h)`` counts
+    the objectives of owner ``w`` whose cards player ``h`` holds."""
+    holder = {card: h for h, hand in enumerate(inst.hands, 1) for card in hand}
+    most: dict[int, int] = {}
+    for (w, _), c in Counter((o.owner, holder[o.card]) for o in inst.objectives).items():
+        most[w] = max(most.get(w, 0), c)
+    return sum(most.values())
+
+
+def test_tricks_needed_bound_fires():
+    """Two objectives of player 1 sit in player 2's hand, so player 1 needs
+    both tricks, and player 2 needs one for its own objective: three tricks
+    are needed and two are left.  Only two players own objectives, so the
+    deal is lost before any card is played, not after a search."""
+    deal = Instance(
+        players=2,
+        k=4,
+        s=2,
+        hands=(
+            frozenset({Card(1, 1), Card(4, 2)}),
+            frozenset({Card(2, 1), Card(3, 2)}),
+        ),
+        objectives=(Objective(Card(2, 1), 1), Objective(Card(3, 2), 1), Objective(Card(1, 1), 2)),
+    )
+    assert _tricks_needed(deal) == 3
+    report = solve_exhaustive(deal, budget=0)
+    assert (report.decision, report.stats.nodes) == (False, 0)
+    assert _independent_search()(json.loads(dumps_instance(deal))) is False
+
+
 def test_decisions_match_independent_search():
     """Differential test (McKeeman 1998): the kernel's decision equals a
     brute-force search's on 400 small general deals, NO answers with tokens
     and trump included, and on the three reductions of every graph with at
-    most 3 vertices."""
+    most 3 vertices.  In 91 of them the tricks-needed bound starts above
+    the number of objective owners.  In 21 it starts above the smallest
+    hand while the owner count does not, so only the tricks-needed bound
+    answers those NO before any card is played."""
     brute_force = _independent_search()
     deals = []
     for seed in range(400):
@@ -296,3 +331,10 @@ def test_decisions_match_independent_search():
     for row, (inst, decision) in enumerate(zip(deals, decisions)):
         assert decision is brute_force(json.loads(dumps_instance(inst))), row
     assert decisions[:400].count(True) == 159
+    starts = [
+        (_tricks_needed(inst), len({o.owner for o in inst.objectives}), min(map(len, inst.hands)))
+        for inst in deals
+    ]
+    stronger = sum(need > owned for need, owned, _ in starts)
+    refuted = sum(need > tricks >= owned for need, owned, tricks in starts)
+    assert (stronger, refuted) == (91, 21)
