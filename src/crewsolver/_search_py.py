@@ -62,27 +62,42 @@ LOSS = 0
 CUT = -1
 
 
-def _tricks_needed(open_cards: int, obj_seats: dict[int, tuple[int, int]]) -> int:
+def _tricks_needed(open_cards: int, obj_seats: dict[int, tuple[int, int, int]]) -> int:
     """The fewest tricks that can take the objective cards of ``open_cards``.
 
-    ``obj_seats`` maps an objective card's label to its objective's owner
-    and the card's holder.  Each open objective card must fall in a trick
-    that its owner wins, and a trick has one winner, so different owners
-    need different tricks.  A holder plays one card per trick, so the
-    ``c(w, h)`` open objective cards of owner ``w`` held by ``h`` (``h = w``
-    included) fall in ``c(w, h)`` different tricks, all won by ``w``.  So
-    at least ``Σ_w max_h c(w, h)`` tricks are still needed.
+    ``obj_seats`` maps an objective card's label to its objective's owner,
+    the card's holder and its suit.  Each open objective card must fall in
+    a trick that its owner wins, and a trick has one winner, so different
+    owners need different tricks: the count is a sum over owners ``w`` of
+    the most cards of ``w`` that must fall in pairwise different tricks.
+
+    * A holder plays one card per trick, so the ``c(w, h)`` open objective
+      cards of ``w`` held by ``h`` (``h = w`` included) need ``c(w, h)``
+      tricks: owner ``w`` needs at least ``max_h c(w, h)``.
+    * An objective card that ``w`` holds itself is the card ``w`` plays in
+      its trick, so it must win that trick: no higher card of its suit
+      (objective cards are never trumps) may fall there.  So ``w``'s own
+      cards of a suit below some card ``y`` held by ``h``, together with
+      ``h``'s cards of that suit from ``y`` up, need one trick each.
     """
-    held: dict[tuple[int, int], int] = {}
+    by_seats: dict[tuple[int, int, int], list[int]] = {}
     while open_cards:
         low = open_cards & -open_cards
-        seats = obj_seats[low.bit_length() - 1]
-        held[seats] = held.get(seats, 0) + 1
+        i = low.bit_length() - 1
+        by_seats.setdefault(obj_seats[i], []).append(i)
         open_cards ^= low
+    held: dict[tuple[int, int], int] = {}
+    for (w, h, _), cards in by_seats.items():
+        held[w, h] = held.get((w, h), 0) + len(cards)
     most: dict[int, int] = {}
     for (w, _), c in held.items():
-        if c > most.get(w, 0):
-            most[w] = c
+        most[w] = max(most.get(w, 0), c)
+    for (w, h, s), cards in by_seats.items():
+        own = by_seats.get((w, w, s)) if h != w else None
+        if own:
+            # ``cards`` ascend, so ``cards[k:]`` are those from ``y`` up.
+            for k, y in enumerate(cards):
+                most[w] = max(most[w], len(cards) - k + sum(x < y for x in own))
     return sum(most.values())
 
 
@@ -130,14 +145,14 @@ def search(
         suit_mask[s] |= 1 << i
 
     # Per objective card's label: its objective's bit, its owner, and
-    # (owner, holder) for _tricks_needed.
+    # (owner, holder, suit) for _tricks_needed.
     obj_bit_of = {}
     obj_owner_of = {}
     obj_seats = {}
     for o, c in enumerate(obj_card):
         obj_bit_of[label[c]] = 1 << o
         obj_owner_of[label[c]] = obj_owner[o]
-        obj_seats[label[c]] = (obj_owner[o], owners[c])
+        obj_seats[label[c]] = (obj_owner[o], owners[c], suits[c])
     obj_cards = sum(1 << i for i in obj_bit_of)
     hand_nonobj = [m & ~obj_cards for m in hand_mask]
 

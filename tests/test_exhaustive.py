@@ -8,7 +8,7 @@ import importlib.util
 import json
 import random
 import sys
-from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 from crewsolver import _search_py
@@ -271,14 +271,32 @@ def _independent_search():
     return module.brute_force
 
 
-def _tricks_needed(inst: Instance) -> int:
-    """``Σ_w max_h c(w, h)`` at the start of a deal, where ``c(w, h)`` counts
+def _tricks_needed(inst: Instance, own_card_wins: bool = True) -> int:
+    """The sum over owners of the most objectives of one owner that must
+    fall in pairwise different tricks at the start of a deal, found by
+    trying every set.  Two cards of one holder always clash.  With
+    ``own_card_wins``, an objective card held by its owner also clashes
+    with a higher card of its suit, since the owner's own card must win.
+    Without it the sum is ``Σ_w max_h c(w, h)``, where ``c(w, h)`` counts
     the objectives of owner ``w`` whose cards player ``h`` holds."""
     holder = {card: h for h, hand in enumerate(inst.hands, 1) for card in hand}
-    most: dict[int, int] = {}
-    for (w, _), c in Counter((o.owner, holder[o.card]) for o in inst.objectives).items():
-        most[w] = max(most.get(w, 0), c)
-    return sum(most.values())
+
+    def clash(a: Objective, b: Objective) -> bool:
+        if holder[a.card] == holder[b.card]:
+            return True
+        low, high = sorted((a.card, b.card))
+        return own_card_wins and low.suit == high.suit and holder[low] == a.owner
+
+    total = 0
+    for w in {o.owner for o in inst.objectives}:
+        mine = [o for o in inst.objectives if o.owner == w]
+        total += max(
+            len(group)
+            for size in range(1, len(mine) + 1)
+            for group in combinations(mine, size)
+            if all(clash(a, b) for a, b in combinations(group, 2))
+        )
+    return total
 
 
 def test_tricks_needed_bound_fires():
@@ -296,7 +314,28 @@ def test_tricks_needed_bound_fires():
         ),
         objectives=(Objective(Card(2, 1), 1), Objective(Card(3, 2), 1), Objective(Card(1, 1), 2)),
     )
-    assert _tricks_needed(deal) == 3
+    assert _tricks_needed(deal, own_card_wins=False) == 3
+    report = solve_exhaustive(deal, budget=0)
+    assert (report.decision, report.stats.nodes) == (False, 0)
+    assert _independent_search()(json.loads(dumps_instance(deal))) is False
+
+
+def test_own_objective_card_must_win():
+    """Player 1 holds its own objective (1, 1), so it wins that trick only
+    with that card, and player 2's objective cards of player 1, (2, 1) and
+    (3, 1), would beat it there: three tricks are needed and two are left,
+    although no holder has more than two of player 1's cards."""
+    deal = Instance(
+        players=2,
+        k=4,
+        s=2,
+        hands=(
+            frozenset({Card(1, 1), Card(4, 2)}),
+            frozenset({Card(2, 1), Card(3, 1)}),
+        ),
+        objectives=(Objective(Card(1, 1), 1), Objective(Card(2, 1), 1), Objective(Card(3, 1), 1)),
+    )
+    assert (_tricks_needed(deal, own_card_wins=False), _tricks_needed(deal)) == (2, 3)
     report = solve_exhaustive(deal, budget=0)
     assert (report.decision, report.stats.nodes) == (False, 0)
     assert _independent_search()(json.loads(dumps_instance(deal))) is False
@@ -331,10 +370,23 @@ def test_decisions_match_independent_search():
     for row, (inst, decision) in enumerate(zip(deals, decisions)):
         assert decision is brute_force(json.loads(dumps_instance(inst))), row
     assert decisions[:400].count(True) == 159
-    starts = [
-        (_tricks_needed(inst), len({o.owner for o in inst.objectives}), min(map(len, inst.hands)))
+    # How often each counting fact raises the tricks needed at the start,
+    # and how often only it exceeds the smallest hand.
+    owners, held, chained, tricks = zip(*[
+        (
+            len({o.owner for o in inst.objectives}),
+            _tricks_needed(inst, own_card_wins=False),
+            _tricks_needed(inst),
+            min(map(len, inst.hands)),
+        )
         for inst in deals
-    ]
-    stronger = sum(need > owned for need, owned, _ in starts)
-    refuted = sum(need > tricks >= owned for need, owned, tricks in starts)
-    assert (stronger, refuted) == (91, 21)
+    ])
+
+    def raised(old, new):
+        return (
+            sum(b > a for a, b in zip(old, new)),
+            sum(b > t >= a for a, b, t in zip(old, new, tricks)),
+        )
+
+    assert raised(owners, held) == (91, 21)
+    assert raised(held, chained) == (19, 7)
