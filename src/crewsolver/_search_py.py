@@ -8,8 +8,11 @@ accepting line found is always the same one.
 
 All pruning is decision-exact and cannot change the first accepting line:
 
-* tricks-needed bound — a position is lost when its open objective cards
-  need more tricks than are left (see ``_tricks_needed``);
+* tricks-needed bound — every open objective card must fall in a trick
+  that its owner wins, a trick has one winner and each player plays one
+  card per trick, so the open objective cards need a number of tricks
+  that counting alone bounds from below (``_tricks_needed``); a position
+  with fewer tricks left is lost;
 * misroute pairs — two uncompleted objective cards with different owners in
   the same trick guarantee a misroute, as does an objective card whose owner
   has already played and is not currently winning the trick;
@@ -63,7 +66,8 @@ CUT = -1
 
 
 def _tricks_needed(open_cards: int, obj_seats: dict[int, tuple[int, int, int]]) -> int:
-    """The fewest tricks that can take the objective cards of ``open_cards``.
+    """A lower bound on the tricks that must still take the objective cards
+    of ``open_cards``.
 
     ``obj_seats`` maps an objective card's label to its objective's owner,
     the card's holder and its suit.  Each open objective card must fall in
@@ -75,10 +79,10 @@ def _tricks_needed(open_cards: int, obj_seats: dict[int, tuple[int, int, int]]) 
       cards of ``w`` held by ``h`` (``h = w`` included) need ``c(w, h)``
       tricks: owner ``w`` needs at least ``max_h c(w, h)``.
     * An objective card that ``w`` holds itself is the card ``w`` plays in
-      its trick, so it must win that trick: no higher card of its suit
-      (objective cards are never trumps) may fall there.  So ``w``'s own
-      cards of a suit below some card ``y`` held by ``h``, together with
-      ``h``'s cards of that suit from ``y`` up, need one trick each.
+      its trick, so it must win that trick: no higher card of its suit may
+      fall there, whether that suit is trumps or not.  So ``w``'s own cards
+      of a suit below some card ``y`` held by ``h``, together with ``h``'s
+      cards of that suit from ``y`` up, need one trick each.
     """
     by_seats: dict[tuple[int, int, int], list[int]] = {}
     while open_cards:
