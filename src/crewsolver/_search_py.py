@@ -181,6 +181,9 @@ def search(
     trick_cards = [[-1] * p for _ in range(max_tricks)]
     trick_leads = [-1] * max_tricks
 
+    # A seat's candidates in branch order, per candidate mask: hands are
+    # disjoint, so the mask alone names the player.
+    rows: dict[int, tuple] = {}
     failed: set[int] = set()
     # _tricks_needed per set of open objective cards.
     needed: dict[int, int] = {}
@@ -216,10 +219,11 @@ def search(
                 cand = follow
             best_suit = suit[best]
         plain = hand_nonobj[player] & rem
-        row = trick_cards[depth]
-        for bit, c, ow, above, s in cands[player]:
-            if not cand & bit:
-                continue
+        row = rows.get(cand)
+        if row is None:
+            row = rows[cand] = tuple(e for e in cands[player] if cand & e[0])
+        played = trick_cards[depth]
+        for bit, c, ow, above, s in row:
             if ow < 0:
                 # Equal-card collapse: the lowest bit of ``x`` is the next
                 # card up in the suit that is live or on the table.
@@ -248,7 +252,7 @@ def search(
                 owner_seat = (new_owner - lead) % p
                 if owner_seat <= seat_no and owner[new_best] != new_owner:
                     continue
-            row[seat_no] = c
+            played[seat_no] = c
             if seat_no == last:
                 res = boundary(rem & ~bit, start, owner[new_best], depth + 1)
             else:
