@@ -33,18 +33,39 @@ also the empty-hand cut, since the count is at least 1 while an objective
 is open.  Cards never change hands, so the count is cached per set of open
 objective cards.
 Within a suit a higher label is a higher card, so the seat loop compares
-labels, never values.
+labels, never values.  A seat reads its candidates from a per-search cache
+keyed on the candidate mask (the live cards it may play; hands are
+disjoint, so the mask names the player), which holds those cards' entries
+in branch order; the loop never walks a card it may not play.
 
 The recursion has two frame kinds, p + 1 frames per trick: ``boundary``
 settles the finished trick and opens the next, and ``seat`` plays one card;
 the last seat calls ``boundary`` directly.
 
 A position between tricks is the pair ``(rem, lead)`` of live cards and
-leader, and the failed-position memo holds it as the one int
-``rem * p + lead``.  The completed objectives need no place in it: at every
-trick boundary the search reaches, they are exactly those whose cards have
-left ``rem``, since the seat loop drops any trick that misroutes an
-objective and a line that breaks token order ends at that trick.
+leader, and its exact memo key is the one int ``rem * p + lead``.  The
+completed objectives need no place in it: at every trick boundary the
+search reaches, they are exactly those whose cards have left ``rem``, since
+the seat loop drops any trick that misroutes an objective and a line that
+breaks token order ends at that trick.
+
+Only on an exact miss does ``boundary`` build the position's pattern key,
+the rank-relative transposition key of Haglund's DDS.  A suit's pattern is
+its live cards in rank order, each given as its (holder, objective or none)
+pair.  Two positions with the same lead and the same pattern in every suit
+are the same game: each hand holds as many live cards, and following suit,
+the trick winner, misroutes, token order, the tricks-needed bound and the
+equal-card collapse see only the patterns.
+So a loss of one is a loss of the other, and the key is decision-exact; the
+memo holds losses only, so the first accepting line is unchanged.  In a suit
+where no holder has two non-objective cards, the pattern fixes the live set,
+and the key keeps the suit's bits of ``rem``.  Each other (loose) suit adds
+its pattern's codes as one field at a fixed offset from bit ``n`` up, with a
+leading 1 bit; the field is cached per live mask of the suit, and an empty
+suit adds 0.  The key is that int ``* p + lead``.  Both kinds of key live in
+the one ``failed`` set, and a loss adds both.  They cannot name different
+positions: a pattern key with a loose suit live is at least ``2**n * p``,
+above every exact key, and one with none live is the exact key itself.
 
 Token order is the caller's rule: ``tokens_broken(completed, new)`` says
 whether a trick completing ``new`` after ``completed`` (bit ``o`` is
@@ -105,6 +126,18 @@ def _tricks_needed(open_cards: int, obj_seats: dict[int, tuple[int, int, int]]) 
     return sum(most.values())
 
 
+def _field(live: int, codes: list[int], width: int, offset: int) -> int:
+    """One loose suit's part of the pattern key: the codes of its live cards
+    ``live`` in rank order, ``width`` bits each below a leading 1 bit, at bit
+    ``offset``."""
+    packed = 1
+    while live:
+        low = live & -live
+        packed = packed << width | codes[low.bit_length() - 1]
+        live ^= low
+    return packed << offset
+
+
 def search(
     p: int,
     values: list[int],
@@ -160,6 +193,38 @@ def search(
     obj_cards = sum(1 << i for i in obj_bit_of)
     hand_nonobj = [m & ~obj_cards for m in hand_mask]
 
+    def labels(cards: int):
+        while cards:
+            low = cards & -cards
+            yield low.bit_length() - 1
+            cards ^= low
+
+    # The pattern key.  A suit is loose if some holder has two of its
+    # non-objective cards; only then can two live sets of it share a
+    # pattern, so the key keeps the live cards of the other suits as they
+    # are.  A loose suit's part of it sits at a fixed offset from bit n up
+    # and codes each card by its (holder, objective) pair, numbered within
+    # the suit.
+    codes = [0] * n
+    loose = []
+    layout = {}
+    fixed = 0
+    offset = n
+    for m in suit_mask:
+        plain_holders = [owner[i] for i in labels(m & ~obj_cards)]
+        if len(set(plain_holders)) == len(plain_holders):
+            fixed |= m
+            continue
+        ids: dict[tuple[int, int], int] = {}
+        for i in labels(m):
+            codes[i] = ids.setdefault((owner[i], obj_bit_of.get(i, 0)), len(ids))
+        width = max(1, (len(ids) - 1).bit_length())
+        loose.append(m)
+        layout[m] = (width, offset)
+        offset += m.bit_count() * width + 1
+    # A loose suit's part of the pattern key per live mask of it.
+    fields = {0: 0}
+
     # Each player's cards in branch order, with what the seat loop reads
     # about them: (bit, label, its objective's owner or -1, same-suit bits
     # above, suit).
@@ -192,12 +257,6 @@ def search(
     nodes = 0
     final_depth = 0
     last = p - 1
-
-    def labels(cards: int):
-        while cards:
-            low = cards & -cards
-            yield low.bit_length() - 1
-            cards ^= low
 
     def seat(
         rem: int,
@@ -291,10 +350,23 @@ def search(
         key = rem * p + lead
         if key in failed:
             return LOSS
+        alias = key
+        if loose:
+            alias = rem & fixed
+            for m in loose:
+                live = rem & m
+                field = fields.get(live)
+                if field is None:
+                    field = fields[live] = _field(live, codes, *layout[m])
+                alias |= field
+            alias = alias * p + lead
+            if alias in failed:
+                return LOSS
         trick_leads[depth] = lead
         res = seat(rem, rem, lead, 0, -1, -1, -1, depth)
         if res == LOSS:
             failed.add(key)
+            failed.add(alias)
         return res
 
     full_mask = (1 << n) - 1
