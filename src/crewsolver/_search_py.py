@@ -67,6 +67,10 @@ the one ``failed`` set, and a loss adds both.  They cannot name different
 positions: a pattern key with a loose suit live is at least ``2**n * p``,
 above every exact key, and one with none live is the exact key itself.
 
+``seat`` and ``boundary`` refer to each other, so ``search`` deletes both
+names before it returns, and its memo and caches are freed at once, not by
+the cyclic collector.
+
 Token order is the caller's rule: ``tokens_broken(completed, new)`` says
 whether a trick completing ``new`` after ``completed`` (bit ``o`` is
 objective ``o``) breaks it, and is called only on a miss in a per-search
@@ -371,15 +375,19 @@ def search(
 
     full_mask = (1 << n) - 1
     leads = [first_lead] if first_lead >= 0 else list(range(p))
+    res = LOSS
     for lead in leads:
         res = boundary(full_mask, full_mask, lead, 0)
-        if res == WIN:
-            return (
-                WIN,
-                trick_leads[:final_depth],
-                [[orig[i] for i in trick_cards[d]] for d in range(final_depth)],
-                nodes,
-            )
-        if res == CUT:
-            return (CUT, [], [], nodes)
-    return (LOSS, [], [], nodes)
+        if res != LOSS:
+            break
+    # ``seat`` and ``boundary`` refer to each other: break the cycle, so that
+    # the memo is freed on return and not by the cyclic collector.
+    del seat, boundary
+    if res != WIN:
+        return (res, [], [], nodes)
+    return (
+        WIN,
+        trick_leads[:final_depth],
+        [[orig[i] for i in trick_cards[d]] for d in range(final_depth)],
+        nodes,
+    )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import gc
 import importlib.util
 import json
 import random
@@ -198,6 +199,27 @@ def test_kernel_outputs_pinned():
         assert (got_status, got_nodes, got_first) == (status, nodes, first), row
         if witness is not None:
             assert verify_sequence(inst, witness).accepted
+
+
+def test_search_frees_its_memo_on_return():
+    """``seat`` and ``boundary`` refer to each other, and the kernel breaks
+    that cycle before it returns: with the cyclic collector off, a YES, a NO
+    and a budget-cut search leave nothing for it to collect."""
+    deals = (
+        (gen_general(28, 4, 6, 2), True),
+        (gen_general(24, 4, 6, 0), False),
+        (gen_general(24, 4, 6, 1), None),
+    )
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for inst, decision in deals:
+            assert solve(inst, budget=10_000, force="exhaustive").decision is decision
+            assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_kernel_index_order(uneven_deal, monkeypatch):
