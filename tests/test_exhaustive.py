@@ -428,3 +428,23 @@ def test_decisions_match_independent_search():
     assert raised(owners, held) == (91, 21)
     assert raised(held, chained) == (19, 7)
     assert sum(map(_has_loose_suit, deals)) == 204
+
+
+def test_pattern_key_keeps_holders():
+    """Six small won deals that a pattern key without the holder in its
+    codes answers NO: it joins positions whose live cards sit in different
+    hands.  In each, some holder has two non-objective cards of a suit, and
+    the independent search confirms the win."""
+    brute_force = _independent_search()
+    for args in (
+        (7, 2, 2, 197),
+        (9, 2, 4, 11),
+        (11, 2, 2, 84),
+        (8, 3, 1, 94),
+        (9, 3, 2, 78),
+        (10, 3, 1, 266),
+    ):
+        inst = gen_general(*args)
+        assert _has_loose_suit(inst), args
+        assert solve(inst, force="exhaustive").decision is True, args
+        assert brute_force(json.loads(dumps_instance(inst))) is True, args
