@@ -55,17 +55,18 @@ its live cards in rank order, each given as its (holder, objective or none)
 pair.  Two positions with the same lead and the same pattern in every suit
 are the same game: each hand holds as many live cards, and following suit,
 the trick winner, misroutes, token order, the tricks-needed bound and the
-equal-card collapse see only the patterns.
-So a loss of one is a loss of the other, and the key is decision-exact; the
-memo holds losses only, so the first accepting line is unchanged.  In a suit
-where no holder has two non-objective cards, the pattern fixes the live set,
-and the key keeps the suit's bits of ``rem``.  Each other (loose) suit adds
-its pattern's codes as one field at a fixed offset from bit ``n`` up, with a
-leading 1 bit; the field is cached per live mask of the suit, and an empty
-suit adds 0.  The key is that int ``* p + lead``.  Both kinds of key live in
-the one ``failed`` set, and a loss adds both.  They cannot name different
-positions: a pattern key with a loose suit live is at least ``2**n * p``,
-above every exact key, and one with none live is the exact key itself.
+equal-card collapse see only the patterns.  So a loss of one is a loss of
+the other, and the key is decision-exact; the memo holds losses only, so
+the first accepting line is unchanged.  In a suit where no holder has two
+non-objective cards, the pattern fixes the live set, and the key keeps the
+suit's bits of ``rem``.  Each other (loose) suit adds its pattern's codes,
+numbered within the suit, as one field at a fixed offset from bit ``n`` up,
+with a leading 1 bit; the field is cached per live mask of the suit, and an
+empty suit adds 0.  The key is that int ``* p + lead``.  Both kinds of key
+live in the one ``failed`` set, and a loss adds both.  They cannot name
+different positions: a pattern key with a loose suit live is at least
+``2**n * p``, above every exact key, and one with none live is the exact
+key itself.
 
 ``seat`` and ``boundary`` refer to each other, so ``search`` deletes both
 names before it returns, and its memo and caches are freed at once, not by
@@ -203,12 +204,9 @@ def search(
             yield low.bit_length() - 1
             cards ^= low
 
-    # The pattern key.  A suit is loose if some holder has two of its
-    # non-objective cards; only then can two live sets of it share a
-    # pattern, so the key keeps the live cards of the other suits as they
-    # are.  A loose suit's part of it sits at a fixed offset from bit n up
-    # and codes each card by its (holder, objective) pair, numbered within
-    # the suit.
+    # The pattern key's layout (see the module docstring): the suits that
+    # are not loose, and per loose suit its field's code width and offset,
+    # with each of its cards' (holder, objective) code.
     codes = [0] * n
     loose = []
     layout = {}
@@ -380,8 +378,7 @@ def search(
         res = boundary(full_mask, full_mask, lead, 0)
         if res != LOSS:
             break
-    # ``seat`` and ``boundary`` refer to each other: break the cycle, so that
-    # the memo is freed on return and not by the cyclic collector.
+    # Break the seat-boundary reference cycle, so the memo is freed now.
     del seat, boundary
     if res != WIN:
         return (res, [], [], nodes)
