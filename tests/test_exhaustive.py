@@ -163,9 +163,7 @@ def test_kernel_imports_nothing_from_package():
             assert name.split(".")[0] != "crewsolver", ast.unparse(node)
 
 
-# (status, nodes, first trick's cards), cuts included.  The statuses and first
-# tricks are those of the kernel before its per-node rewrite; the rank-pattern
-# memo key lowered the node counts of rows 0, 2, 5, 12 and 13.
+# (status, nodes, first trick's cards) per deal and budget, cuts included.
 _PINNED = [
     (lambda: gen_general(24, 4, 6, 0), 10_000, 0, 5624, None),
     (lambda: gen_general(24, 4, 6, 1), 10_000, -1, 10001, None),
