@@ -13,6 +13,12 @@ All pruning is decision-exact and cannot change the first accepting line:
   card per trick, so the open objective cards need a number of tricks
   that counting alone bounds from below (``_tricks_needed``); a position
   with fewer tricks left is lost;
+* tight-bound lead filter — where that count equals the tricks left,
+  every trick must complete an objective, since one that completes none
+  leaves the same count with a trick fewer.  An open objective card held
+  by its owner, off trumps, can only win a trick led in its suit, so while
+  every open objective card is such a card, only a card of one of their
+  suits may lead (``_tight_leads``), and a leader with none loses at once;
 * misroute pairs — two uncompleted objective cards with different owners in
   the same trick guarantee a misroute, as does an objective card whose owner
   has already played and is not currently winning the trick;
@@ -30,8 +36,8 @@ trick, so at trick depth ``d`` every hand holds its starting size minus ``d``
 cards, and ``min_size - d`` tricks are left.  The tricks-needed bound
 compares that with a count of the open objective cards alone, and it is
 also the empty-hand cut, since the count is at least 1 while an objective
-is open.  Cards never change hands, so the count is cached per set of open
-objective cards.
+is open.  Cards never change hands, so the count, and the lead filter's
+mask, are cached per set of open objective cards.
 Within a suit a higher label is a higher card, so the seat loop compares
 labels, never values.  A seat reads its candidates from a per-search cache
 keyed on the candidate mask (the live cards it may play; hands are
@@ -54,15 +60,18 @@ the rank-relative transposition key of Haglund's DDS.  A suit's pattern is
 its live cards in rank order, each given as its (holder, objective or none)
 pair.  Two positions with the same lead and the same pattern in every suit
 are the same game: each hand holds as many live cards, and following suit,
-the trick winner, misroutes, token order, the tricks-needed bound and the
-equal-card collapse see only the patterns.  So a loss of one is a loss of
-the other, and the key is decision-exact; the memo holds losses only, so
-the first accepting line is unchanged.  In a suit where no holder has two
-non-objective cards, the pattern fixes the live set, and the key keeps the
-suit's bits of ``rem``.  Each other (loose) suit adds its pattern's codes,
-numbered within the suit, as one field at a fixed offset from bit ``n`` up,
-with a leading 1 bit; the field is cached per live mask of the suit, and an
-empty suit adds 0.  The key is that int ``* p + lead``.  Both kinds of key
+the trick winner, misroutes, token order, the tricks-needed bound, the
+lead filter and the equal-card collapse see only the patterns.  So a loss
+of one is a loss of the other, and the key is decision-exact; the memo
+holds losses only, so the first accepting line is unchanged.  In a suit
+where no holder has two non-objective cards, the pattern fixes the live
+set, and the key keeps the suit's bits of ``rem``.  So does a suit whose
+cards are all non-objective cards of one hand: equal-card collapse always
+plays its top live card, so its live set is always its lowest cards, as
+many as its pattern has.  Each other (loose) suit adds its pattern's
+codes, numbered within the suit, as one field at a fixed offset from bit
+``n`` up, with a leading 1 bit; the field is cached per live mask of the
+suit, and an empty suit adds 0.  The key is that int ``* p + lead``.  Both kinds of key
 live in the one ``failed`` set, and a loss adds both.  They cannot name
 different positions: a pattern key with a loose suit live is at least
 ``2**n * p``, above every exact key, and one with none live is the exact
@@ -129,6 +138,34 @@ def _tricks_needed(open_cards: int, obj_seats: dict[int, tuple[int, int, int]]) 
             for k, y in enumerate(cards):
                 most[w] = max(most[w], len(cards) - k + sum(x < y for x in own))
     return sum(most.values())
+
+
+def _tight_leads(
+    open_cards: int,
+    obj_seats: dict[int, tuple[int, int, int]],
+    suit_mask: list[int],
+    trump: int,
+) -> int:
+    """The cards that may lead a trick that must complete an objective of
+    ``open_cards``, as a mask (-1 for every card).
+
+    An open objective card held by its owner ``w`` falls in its trick as
+    the card ``w`` plays there, so it must win that trick; off trumps, it
+    wins only a trick led in its suit.  So if every open objective card is
+    held by its owner and none is a trump, only a card of one of their
+    suits may lead.  An owner may win with another card while a second
+    holder sheds the objective card, and a trump wins off-suit, so either
+    leaves every lead.
+    """
+    leads = 0
+    while open_cards:
+        low = open_cards & -open_cards
+        w, h, s = obj_seats[low.bit_length() - 1]
+        if w != h or s == trump:
+            return -1
+        leads |= suit_mask[s]
+        open_cards ^= low
+    return leads
 
 
 def _field(live: int, codes: list[int], width: int, offset: int) -> int:
@@ -214,7 +251,8 @@ def search(
     offset = n
     for m in suit_mask:
         plain_holders = [owner[i] for i in labels(m & ~obj_cards)]
-        if len(set(plain_holders)) == len(plain_holders):
+        holders = set(plain_holders)
+        if len(holders) == len(plain_holders) or (len(holders) == 1 and not m & obj_cards):
             fixed |= m
             continue
         ids: dict[tuple[int, int], int] = {}
@@ -252,8 +290,10 @@ def search(
     # disjoint, so the mask alone names the player.
     rows: dict[int, tuple] = {}
     failed: set[int] = set()
-    # _tricks_needed per set of open objective cards.
+    # _tricks_needed, and _tight_leads where asked, per set of open
+    # objective cards.
     needed: dict[int, int] = {}
+    tight: dict[int, int] = {}
     # tokens_broken's answer per (open, newly won) objective cards.
     blocked: dict[tuple[int, int], bool] = {}
     nodes = 0
@@ -270,7 +310,9 @@ def search(
         trick_owner: int,
         depth: int,
     ) -> int:
-        # ``start`` is ``rem`` at the lead: the live cards and those on the table.
+        # ``start`` is ``rem`` at the lead: the live cards and those on the
+        # table.  At seat 0, ``led_suit`` is the mask of the cards that may
+        # lead (-1 for all).
         nonlocal nodes
         player = (lead + seat_no) % p
         cand = hand_mask[player] & rem
@@ -279,6 +321,8 @@ def search(
             if follow:
                 cand = follow
             best_suit = suit[best]
+        else:
+            cand &= led_suit
         plain = hand_nonobj[player] & rem
         row = rows.get(cand)
         if row is None:
@@ -349,6 +393,13 @@ def search(
             count = needed[open_cards] = _tricks_needed(open_cards, obj_seats)
         if count > min_size - depth:
             return LOSS
+        allowed = -1
+        if count == min_size - depth:
+            allowed = tight.get(open_cards)
+            if allowed is None:
+                allowed = tight[open_cards] = _tight_leads(open_cards, obj_seats, suit_mask, trump)
+            if not hand_mask[lead] & rem & allowed:
+                return LOSS
         key = rem * p + lead
         if key in failed:
             return LOSS
@@ -365,7 +416,7 @@ def search(
             if alias in failed:
                 return LOSS
         trick_leads[depth] = lead
-        res = seat(rem, rem, lead, 0, -1, -1, -1, depth)
+        res = seat(rem, rem, lead, 0, allowed, -1, -1, depth)
         if res == LOSS:
             failed.add(key)
             failed.add(alias)

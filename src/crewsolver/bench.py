@@ -6,12 +6,14 @@ one loop times them.  Rows that correspond to an acceptance time target
 carry the target for comparison; the ``loads_instance``, ``classify``,
 ``dumps_witness`` and ``verify_sequence`` rows time the other phases of the
 CLI path around the ss-owned solve, which on big polynomial deals can cost
-more than the solve; the exhaustive row runs a general deal that no search
-decides within its fixed node budget, and reports the node count, nodes per
-second and decision beside its time, with the caveat that the recursive
-kernel's nodes per second moves by up to 1.6x with the caller's stack
-depth; the last row times whole ``crew solve`` child processes on a small
-deal, so the start-up cost (interpreter plus imports) shows beside the work.
+more than the solve; one exhaustive row solves a Hamiltonian-path reduction
+whose answer is known to be NO, with its node count in the note; the other
+runs a general deal that no search decides within its fixed node budget,
+and reports the node count, nodes per second and decision beside its time,
+with the caveat that the recursive kernel's nodes per second moves by up to
+1.6x with the caller's stack depth; the last row times whole ``crew solve``
+child processes on a small deal, so the start-up cost (interpreter plus
+imports) shows beside the work.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from statistics import median
 from time import perf_counter
 from typing import NamedTuple
 
-from .generate import gen_general, gen_single_suit, gen_single_value, gen_ss_owned
+from .generate import gen_general, gen_graph, gen_single_suit, gen_single_value, gen_ss_owned
 from .model import Instance, Objective, classify
+from .reduction import reduce_hp_tokens
 from .serialize import dumps_instance, dumps_witness, loads_instance
 from .solvers import solve
 from .verify import verify_sequence
@@ -136,6 +139,16 @@ def _timed_rows(quick: bool):
 
     inst_v, witness = _big_witness_pair(10_000 // scale, 4)
     yield f"verify n={inst_v.n}", lambda: verify_sequence(inst_v, witness), 2.0, ""
+
+    # A Hamiltonian-path reduction whose graph has no path: a known NO.
+    inst_hp = reduce_hp_tokens(gen_graph(5, 0.5, 1))
+    report = solve(inst_hp, force="exhaustive")
+    yield (
+        f"exhaustive reduce_hp_tokens V=5 n={inst_hp.n}",
+        lambda: solve(inst_hp, force="exhaustive"),
+        None,
+        f"nodes={report.stats.nodes} decision={report.decision} (known: False)",
+    )
 
 
 def run_suite(quick: bool = False) -> list[BenchRow]:

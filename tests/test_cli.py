@@ -509,6 +509,10 @@ class TestBench:
         assert note.startswith("nodes=20001 nodes/s=") and "decision=None" in note
         assert note.endswith("(nodes/s moves by up to 1.6x with the caller's stack depth)")
 
+    def test_quick_known_answer_row(self, quick_bench_rows):
+        rows = [r for r in quick_bench_rows if r["name"].startswith("exhaustive reduce_hp_tokens")]
+        assert [r["note"] for r in rows] == ["nodes=12785 decision=False (known: False)"]
+
     def test_quick_cli_row(self, quick_bench_rows):
         rows = [r for r in quick_bench_rows if r["name"].startswith("crew solve child")]
         assert len(rows) == 1

@@ -171,15 +171,16 @@ _PINNED = [
     (lambda: gen_general(28, 4, 6, 3), 10_000, -1, 10001, None),
     (lambda: gen_general(32, 4, 6, 1), 10_000, 1, 30, [(8, 2), (5, 2), (2, 2), (7, 2)]),
     (lambda: gen_general(32, 4, 6, 2), 10_000, 0, 4262, None),
-    (lambda: reduce_hp(gen_graph(6, 0.5, 2)), 10_000, 1, 1359,
+    (lambda: reduce_hp(gen_graph(6, 0.5, 2)), 10_000, 1, 98,
      [(3, 1), (1, 1), (4, 9), (2, 1), (3, 11), (4, 2)]),
-    (lambda: reduce_hp_trump(gen_graph(6, 0.5, 2)), 10_000, 1, 5014,
+    (lambda: reduce_hp_trump(gen_graph(6, 0.5, 2)), 10_000, 1, 177,
      [(3, 1), (1, 1), (4, 9), (2, 1), (3, 11), (4, 2)]),
-    (lambda: reduce_hp_tokens(gen_graph(6, 0.5, 2)), 10_000, -1, 10001, None),
-    (lambda: reduce_hp_tokens(gen_graph(5, 0.5, 1)), 0, 0, 51708, None),
-    (lambda: reduce_hp_tokens(gen_graph(5, 0.5, 2)), 0, 1, 4595,
+    (lambda: reduce_hp_tokens(gen_graph(6, 0.5, 2)), 10_000, 1, 654,
+     [(3, 1), (1, 1), (4, 10), (2, 1), (5, 7), (6, 7), (6, 14)]),
+    (lambda: reduce_hp_tokens(gen_graph(5, 0.5, 1)), 0, 0, 12785, None),
+    (lambda: reduce_hp_tokens(gen_graph(5, 0.5, 2)), 0, 1, 1026,
      [(2, 1), (1, 1), (3, 6), (4, 6), (3, 2), (5, 12)]),
-    (lambda: reduce_hp_trump(gen_graph(5, 0.5, 0)), 0, 0, 18142, None),
+    (lambda: reduce_hp_trump(gen_graph(5, 0.5, 0)), 0, 0, 732, None),
     # The only gen_general draws seen whose node count depends on the
     # same-trick token cycle test.
     (lambda: gen_general(20, 4, 6, 31), 0, 0, 611, None),
@@ -270,7 +271,7 @@ def test_tokens_broken_gets_objective_masks(monkeypatch):
         tokens=(TokenConstraint(0, before=frozenset({1, 2, 3})),),
     )
     report = solve_exhaustive(deal, budget=0)
-    assert (report.decision, report.stats.nodes) == (True, 143)
+    assert (report.decision, report.stats.nodes) == (True, 93)
     everything = (1 << len(deal.objectives)) - 1
     for done, new in calls:
         assert new and not done & new and (done | new) & ~everything == 0
@@ -281,15 +282,20 @@ def test_tokens_broken_gets_objective_masks(monkeypatch):
     ]
 
 
-def _independent_search():
-    """``perfbench/checks.py``, a search over JSON documents that shares no
-    code with the package, loaded by path as it is."""
+def independent_checks():
+    """``perfbench/checks.py``, checks written from the game rules that
+    share no code with the package, loaded by path as it is."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
     assert path.is_file(), f"the independent search is missing: {path}"
     spec = importlib.util.spec_from_file_location("independent_checks", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.brute_force
+    return module
+
+
+def _independent_search():
+    """``checks.brute_force``, a search over JSON documents."""
+    return independent_checks().brute_force
 
 
 def _tricks_needed(inst: Instance, own_card_wins: bool = True) -> int:
@@ -362,16 +368,100 @@ def test_own_objective_card_must_win():
     assert _independent_search()(json.loads(dumps_instance(deal))) is False
 
 
-def _has_loose_suit(inst: Instance) -> bool:
-    """Whether some holder has two non-objective cards of one suit."""
-    objective_cards = {o.card for o in inst.objectives}
-    plain = [
-        (holder, card.suit)
-        for holder, hand in enumerate(inst.hands)
-        for card in hand
-        if card not in objective_cards
+def test_tight_lead_filter_cuts_junk_leads(monkeypatch):
+    """Each player holds and owns the top card of its own suit, and three
+    tricks are left for three objectives, so every trick must complete one:
+    a position is tight.  An objective card that its owner holds must win
+    its trick, so each trick must be led in the suit of the objective it
+    completes.  Player 1 leads first and holds only cards of suits 1 and
+    4, which no one else holds, so it wins the first trick and leads the
+    next one too: the deal is lost.  The tight-bound lead filter never leads
+    suit 4, so it refutes the deal in 7 nodes, where leading every card
+    takes 37."""
+    deal = Instance(
+        players=3,
+        k=5,
+        s=4,
+        hands=(
+            frozenset({Card(5, 1), Card(1, 4), Card(3, 4)}),
+            frozenset({Card(5, 2), Card(1, 2), Card(1, 3)}),
+            frozenset({Card(5, 3), Card(2, 3), Card(2, 2)}),
+        ),
+        objectives=(Objective(Card(5, 1), 1), Objective(Card(5, 2), 2), Objective(Card(5, 3), 3)),
+        first_lead=1,
+    )
+    report = solve_exhaustive(deal, budget=0)
+    assert (report.decision, report.stats.nodes) == (False, 7)
+    assert _independent_search()(json.loads(dumps_instance(deal))) is False
+    monkeypatch.setattr(_search_py, "_tight_leads", lambda *args: -1)
+    report = solve_exhaustive(deal, budget=0)
+    assert (report.decision, report.stats.nodes) == (False, 37)
+
+
+def test_tight_lead_filter_keeps_trump_objective():
+    """An objective card in the trump suit wins a trick led in any suit its
+    holder is void in, so a tight position with one open leaves every lead.
+    Player 1 must win its (3, 1) and then lead the (2, 1), which player 2
+    trumps with its own objective (1, 2).  The package's model puts no
+    objective in the trump suit, but the kernel's contract allows it, so
+    the kernel is called directly: cards 0-3 are (3, 1), (2, 1), (1, 2) and
+    (1, 3), with suits 1, 2 and 3 as kernel suits 0, 1 and 2."""
+    status, leads, tricks, _ = _search_py.search(
+        2, [3, 2, 1, 1], [0, 0, 1, 2], [0, 0, 1, 1], [0, 2], [0, 1], None, 1, 0, 0
+    )
+    assert (status, leads, tricks) == (1, [0, 0], [[0, 3], [1, 2]])
+    deal = Instance(
+        players=2,
+        k=3,
+        s=3,
+        hands=(frozenset({Card(3, 1), Card(2, 1)}), frozenset({Card(1, 2), Card(1, 3)})),
+        objectives=(Objective(Card(3, 1), 1),),
+        trump_suit=2,
+        first_lead=1,
+    )
+    doc = json.loads(dumps_instance(deal))
+    doc["objectives"].append({"card": {"v": 1, "s": 2}, "owner": 2})
+    assert _independent_search()(doc) is True
+
+
+def test_tight_lead_filter_keeps_leads_for_shed_objectives():
+    """Player 2 holds player 1's objective (2, 2), which player 1 can only
+    take when player 2 sheds it on a trick that player 1 wins, so a tight
+    position with it open leaves every lead: player 1 leads its (5, 1),
+    which is no objective's suit, then its (1, 3) for player 2's own
+    (3, 3)."""
+    deal = Instance(
+        players=2,
+        k=5,
+        s=3,
+        hands=(frozenset({Card(5, 1), Card(1, 3)}), frozenset({Card(2, 2), Card(3, 3)})),
+        objectives=(Objective(Card(2, 2), 1), Objective(Card(3, 3), 2)),
+        first_lead=1,
+    )
+    report = solve_exhaustive(deal, budget=0)
+    assert report.decision is True
+    assert [[p.card for p in t.plays] for t in report.witness.tricks] == [
+        [Card(5, 1), Card(2, 2)],
+        [Card(1, 3), Card(3, 3)],
     ]
-    return len(set(plain)) < len(plain)
+    assert verify_sequence(deal, report.witness).accepted
+    assert _independent_search()(json.loads(dumps_instance(deal))) is True
+
+
+def _has_loose_suit(inst: Instance) -> bool:
+    """Whether some suit is loose in the kernel's pattern key: some holder
+    has two non-objective cards of it, and its cards are not all
+    non-objective cards of one hand."""
+    objective_cards = {o.card for o in inst.objectives}
+    suits: dict[int, list[tuple[int, bool]]] = {}
+    for holder, hand in enumerate(inst.hands):
+        for card in hand:
+            suits.setdefault(card.suit, []).append((holder, card in objective_cards))
+    return any(
+        len(set(plain)) < len(plain) and len(set(cards)) > 1
+        for cards in suits.values()
+        for plain in [[holder for holder, objective in cards if not objective]]
+    )
 
 
 def test_decisions_match_independent_search():
@@ -381,9 +471,10 @@ def test_decisions_match_independent_search():
     most 3 vertices.  In 91 of them the tricks-needed bound starts above
     the number of objective owners.  In 21 it starts above the smallest
     hand while the owner count does not, so only the tricks-needed bound
-    answers those NO before any card is played.  In 204 some holder has two
-    non-objective cards of a suit, so two live sets of that suit can share
-    a rank pattern and the kernel's pattern key differs from its exact key."""
+    answers those NO before any card is played.  In 155 some holder has two
+    non-objective cards of a suit that also has an objective card or
+    another hand's card, so two live sets of that suit can share a rank
+    pattern and the kernel's pattern key differs from its exact key."""
     brute_force = _independent_search()
     deals = []
     for seed in range(400):
@@ -425,7 +516,7 @@ def test_decisions_match_independent_search():
 
     assert raised(owners, held) == (91, 21)
     assert raised(held, chained) == (19, 7)
-    assert sum(map(_has_loose_suit, deals)) == 204
+    assert sum(map(_has_loose_suit, deals)) == 155
 
 
 def test_pattern_key_keeps_holders():

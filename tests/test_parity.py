@@ -10,8 +10,10 @@ import json
 
 import pytest
 
-from make_parity_corpus import CORPUS_PATH, build, digest, summary
+from make_parity_corpus import CORPUS_PATH, REDUCTIONS, SEARCH_BUDGET, build, digest, summary
+from crewsolver.generate import gen_graph
 from crewsolver.solvers import solve_exhaustive
+from test_exhaustive import independent_checks
 
 CORPUS = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
 
@@ -22,6 +24,30 @@ def test_parity_corpus(key):
     report = solve_exhaustive(build(deal["kind"], deal["args"]), budget=deal["budget"])
     assert (report.decision, digest(report.witness)) == (deal["decision"], deal["witness_sha256"])
     assert report.stats.nodes == CORPUS["nodes"][key]
+
+
+def test_reductions_answer_hamiltonian_path():
+    """Each decided answer on the corpus's 72 reductions of perfbench's
+    search-hp graphs, which ``test_parity_corpus`` pins to the search,
+    says whether the graph has a Hamiltonian path, as the Held-Karp oracle
+    of ``perfbench/checks.py`` says.  Of the 24 graphs, 16 have a path."""
+    has_path = independent_checks().has_hamiltonian_path
+    deals = [
+        deal
+        for deal in CORPUS["deals"].values()
+        if deal["kind"] in REDUCTIONS and deal["budget"] == SEARCH_BUDGET
+    ]
+    decided = dict.fromkeys(REDUCTIONS, 0)
+    paths = 0
+    for deal in deals:
+        graph = gen_graph(*deal["args"])
+        truth = has_path(graph.vertices, graph.edges)
+        paths += truth
+        if deal["decision"] is not None:
+            assert deal["decision"] is truth, deal
+            decided[deal["kind"]] += 1
+    assert (len(deals), paths) == (72, 3 * 16)
+    assert decided == {"reduce_hp": 18, "reduce_hp_trump": 16, "reduce_hp_tokens": 10}
 
 
 def test_summary_names_what_moved():
