@@ -41,9 +41,7 @@ _HOMES = {
     "reduction": (
         "Graph",
         "format_graph",
-        "hp_bruteforce",
         "parse_graph",
-        "path_to_witness",
         "reduce_hp",
         "reduce_hp_tokens",
         "reduce_hp_trump",

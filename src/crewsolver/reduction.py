@@ -9,25 +9,14 @@ lead to walk an adjacency path through the graph.
 
 Two embellished forms deal extra trump cards to all but one player, or add
 an extra player whose objective carries an order token that must complete
-last.  ``hp_bruteforce`` is the small-graph oracle the reductions are
-cross-checked against, and ``path_to_witness`` compiles a Hamiltonian path
-into an accepted play sequence for the base reduction.
+last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (
-    Card,
-    Instance,
-    Objective,
-    Play,
-    TokenConstraint,
-    Trick,
-    rotation,
-)
-from .verify import PlaySequence
+from .model import Card, Instance, Objective, TokenConstraint
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,9 +49,6 @@ class Graph:
             elif b == v:
                 out.append(a)
         return tuple(sorted(out))
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
 
 
 def parse_graph(text: str) -> Graph:
@@ -192,73 +178,3 @@ def reduce_hp_tokens(graph: Graph) -> Instance:
     )
     return _instance(hands, objectives, tokens=(token,))
 
-
-_BRUTEFORCE_LIMIT = 10
-
-
-def hp_bruteforce(graph: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """Backtracking Hamiltonian-path oracle for small graphs.
-
-    Returns the lexicographically least path when one exists.  Guarded by
-    ``_BRUTEFORCE_LIMIT`` because the search is factorial in the vertex count.
-    """
-    v_count = graph.vertices
-    if v_count > _BRUTEFORCE_LIMIT:
-        raise ValueError(f"graph has {v_count} vertices, above the limit of {_BRUTEFORCE_LIMIT}")
-    adjacency = {v: graph.neighbors(v) for v in range(1, v_count + 1)}
-    path: list[int] = []
-    on_path = [False] * (v_count + 1)
-
-    def extend(v: int) -> bool:
-        path.append(v)
-        on_path[v] = True
-        if len(path) == v_count:
-            return True
-        for u in adjacency[v]:
-            if not on_path[u] and extend(u):
-                return True
-        path.pop()
-        on_path[v] = False
-        return False
-
-    for start in range(1, v_count + 1):
-        if extend(start):
-            return True, tuple(path)
-    return False, None
-
-
-def path_to_witness(graph: Graph, path: tuple[int, ...]) -> PlaySequence:
-    """Compile a Hamiltonian path into an accepted sequence on ``reduce_hp``.
-
-    Trick 1: the first path vertex's player leads their own objective card.
-    Trick t: the previous winner leads their card of the next path vertex's
-    suit, forcing that vertex's player to win with their objective card.
-    Players without the led suit discard junk in ascending value.
-    """
-    v_count = graph.vertices
-    if (
-        len(path) != v_count
-        or set(path) != set(range(1, v_count + 1))
-        or any(not graph.adjacent(a, b) for a, b in zip(path, path[1:]))
-    ):
-        raise ValueError("not a Hamiltonian path of this graph")
-
-    instance = reduce_hp(graph)
-    hands = [set(hand) for hand in instance.hands]
-    tricks: list[Trick] = []
-    for t, winner in enumerate(path):
-        lead = path[0] if t == 0 else path[t - 1]
-        plays: list[Play] = []
-        for player in rotation(lead, v_count):
-            in_suit = [c for c in hands[player - 1] if c.suit == winner]
-            if in_suit:
-                card = in_suit[0]
-            else:
-                card = min(
-                    (c for c in hands[player - 1] if c.suit > v_count),
-                    key=lambda c: c.value,
-                )
-            hands[player - 1].remove(card)
-            plays.append(Play(player, card))
-        tricks.append(Trick(lead=lead, plays=tuple(plays)))
-    return PlaySequence(first_lead=path[0], tricks=tuple(tricks))

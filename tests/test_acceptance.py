@@ -1,10 +1,12 @@
 """Acceptance gate: ten criteria, one PASS/FAIL line each.
 
-Each criterion sweeps seeded instances, compares specialized solvers (or the
-graph-side path oracle) against the exhaustive search, and enforces the
-wall-clock budget for the whole sweep.  Witnesses collected along the way
-feed the round-trip criterion.  Run with ``pytest tests/test_acceptance.py``;
-the per-criterion lines are echoed in the terminal summary.
+Each criterion sweeps seeded instances, compares specialized solvers (or,
+for the reductions, the Held-Karp path oracle of ``perfbench/checks.py``,
+which every Hamiltonian-path check of the tests shares) against the
+exhaustive search, and enforces the wall-clock budget for the whole sweep.
+Witnesses collected along the way feed the round-trip criterion.  Run with
+``pytest tests/test_acceptance.py``; the per-criterion lines are echoed in
+the terminal summary.
 """
 
 from __future__ import annotations
@@ -24,17 +26,11 @@ from crewsolver.generate import (
     gen_ss_owned,
 )
 from crewsolver.model import Card, Instance, Objective, TokenConstraint
-from crewsolver.reduction import (
-    Graph,
-    hp_bruteforce,
-    reduce_hp,
-    reduce_hp_tokens,
-    reduce_hp_trump,
-)
+from crewsolver.reduction import Graph, reduce_hp, reduce_hp_tokens, reduce_hp_trump
 from crewsolver.solvers import solve, solve_exhaustive
 from crewsolver.verify import PlaySequence, Reason, verify_sequence
 from test_properties import permute_suits, remap_values
-from test_reduce import all_graphs
+from test_reduce import all_graphs, has_path
 
 pytestmark = pytest.mark.acceptance
 
@@ -96,7 +92,7 @@ def reduction_sweep():
     probs = (0.2, 0.35, 0.5, 0.65, 0.8)
     graphs += [gen_graph(5, probs[seed % 5], seed) for seed in range(200)]
     for g in graphs:
-        expected, _ = hp_bruteforce(g)
+        expected = has_path(g)
         report = solve_exhaustive(reduce_hp(g), budget=0)
         if report.decision is not expected:
             mismatches += 1
@@ -112,7 +108,7 @@ def variant_sweep():
     checked = 0
     for v in (1, 2, 3, 4):
         for g in all_graphs(v):
-            expected, _ = hp_bruteforce(g)
+            expected = has_path(g)
             variants = [reduce_hp_tokens(g)]
             if v >= 2:  # the trump deal needs a second player to hold trumps
                 variants.append(reduce_hp_trump(g, 1))
@@ -165,7 +161,7 @@ def test_criterion_4_reduction_equivalence(acceptance_report, reduction_sweep):
         4,
         ok,
         f"{total - mismatches}/{total} graphs (all on <=4 vertices plus 200 "
-        f"random on 5) agree with the path oracle in {elapsed:.1f}s "
+        f"random on 5) agree with the Held-Karp path oracle in {elapsed:.1f}s "
         f"(limit 600s)",
     )
 
@@ -177,7 +173,7 @@ def test_criterion_5_variant_reductions(acceptance_report, variant_sweep):
         5,
         ok,
         f"{checked - mismatches}/{checked} trump/token reductions on <=4 "
-        f"vertices agree with the path oracle in {elapsed:.1f}s",
+        f"vertices agree with the Held-Karp path oracle in {elapsed:.1f}s",
     )
 
 
@@ -185,7 +181,7 @@ def test_criterion_6_known_pathless_graph(acceptance_report):
     graph = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (3, 5), (5, 6)])
     inst = reduce_hp(graph)
     shape_ok = inst.players == 6 and all(len(h) == 6 for h in inst.hands)
-    found, _ = hp_bruteforce(graph)
+    found = has_path(graph)
     acceptance_report(
         6,
         shape_ok and not found,

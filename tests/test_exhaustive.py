@@ -5,7 +5,6 @@ from __future__ import annotations
 import ast
 import dataclasses
 import gc
-import importlib.util
 import json
 import random
 import sys
@@ -19,7 +18,7 @@ from crewsolver.reduction import reduce_hp, reduce_hp_tokens, reduce_hp_trump
 from crewsolver.serialize import dumps_instance
 from crewsolver.solvers import solve, solve_exhaustive
 from crewsolver.verify import PlaySequence, Reason, verify_sequence
-from test_reduce import all_graphs
+from test_reduce import all_graphs, independent_checks
 
 
 def test_no_objectives_short_circuit(uneven_deal):
@@ -282,22 +281,6 @@ def test_tokens_broken_gets_objective_masks(monkeypatch):
     ]
 
 
-def independent_checks():
-    """``perfbench/checks.py``, checks written from the game rules that
-    share no code with the package, loaded by path as it is."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
-    assert path.is_file(), f"the independent search is missing: {path}"
-    spec = importlib.util.spec_from_file_location("independent_checks", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _independent_search():
-    """``checks.brute_force``, a search over JSON documents."""
-    return independent_checks().brute_force
-
-
 def _tricks_needed(inst: Instance, own_card_wins: bool = True) -> int:
     """The sum over owners of the most objectives of one owner that must
     fall in pairwise different tricks at the start of a deal, found by
@@ -344,7 +327,7 @@ def test_tricks_needed_bound_fires():
     assert _tricks_needed(deal, own_card_wins=False) == 3
     report = solve_exhaustive(deal, budget=0)
     assert (report.decision, report.stats.nodes) == (False, 0)
-    assert _independent_search()(json.loads(dumps_instance(deal))) is False
+    assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is False
 
 
 def test_own_objective_card_must_win():
@@ -365,7 +348,7 @@ def test_own_objective_card_must_win():
     assert (_tricks_needed(deal, own_card_wins=False), _tricks_needed(deal)) == (2, 3)
     report = solve_exhaustive(deal, budget=0)
     assert (report.decision, report.stats.nodes) == (False, 0)
-    assert _independent_search()(json.loads(dumps_instance(deal))) is False
+    assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is False
 
 
 def test_tight_lead_filter_cuts_junk_leads(monkeypatch):
@@ -392,7 +375,7 @@ def test_tight_lead_filter_cuts_junk_leads(monkeypatch):
     )
     report = solve_exhaustive(deal, budget=0)
     assert (report.decision, report.stats.nodes) == (False, 7)
-    assert _independent_search()(json.loads(dumps_instance(deal))) is False
+    assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is False
     monkeypatch.setattr(_search_py, "_tight_leads", lambda *args: -1)
     report = solve_exhaustive(deal, budget=0)
     assert (report.decision, report.stats.nodes) == (False, 37)
@@ -421,7 +404,7 @@ def test_tight_lead_filter_keeps_trump_objective():
     )
     doc = json.loads(dumps_instance(deal))
     doc["objectives"].append({"card": {"v": 1, "s": 2}, "owner": 2})
-    assert _independent_search()(doc) is True
+    assert independent_checks().brute_force(doc) is True
 
 
 def test_tight_lead_filter_keeps_leads_for_shed_objectives():
@@ -445,7 +428,7 @@ def test_tight_lead_filter_keeps_leads_for_shed_objectives():
         [Card(1, 3), Card(3, 3)],
     ]
     assert verify_sequence(deal, report.witness).accepted
-    assert _independent_search()(json.loads(dumps_instance(deal))) is True
+    assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is True
 
 
 def _has_loose_suit(inst: Instance) -> bool:
@@ -475,7 +458,7 @@ def test_decisions_match_independent_search():
     non-objective cards of a suit that also has an objective card or
     another hand's card, so two live sets of that suit can share a rank
     pattern and the kernel's pattern key differs from its exact key."""
-    brute_force = _independent_search()
+    brute_force = independent_checks().brute_force
     deals = []
     for seed in range(400):
         r = random.Random(seed)
@@ -524,7 +507,7 @@ def test_pattern_key_keeps_holders():
     codes answers NO: it joins positions whose live cards sit in different
     hands.  In each, some holder has two non-objective cards of a suit, and
     the independent search confirms the win."""
-    brute_force = _independent_search()
+    brute_force = independent_checks().brute_force
     for args in (
         (7, 2, 2, 197),
         (9, 2, 4, 11),

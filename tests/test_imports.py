@@ -1,6 +1,7 @@
 """Import guards: ``import crewsolver`` loads no submodule, ``crew solve``
-and ``crew verify`` load none of the modules they do not run, and the lazy
-package exports bind the same names as eager imports would."""
+and ``crew verify`` load none of the modules they do not run, the reductions
+load no verifier, and the lazy package exports bind the same names as eager
+imports would."""
 
 from __future__ import annotations
 
@@ -42,6 +43,16 @@ def test_import_loads_no_submodule():
     assert first == []
     # One name loads its home module (and what that imports), and is cached.
     assert after == [["crewsolver.model", "crewsolver.verify"], True]
+
+
+@pytest.mark.parametrize(
+    "name, modules",
+    [("reduce_hp", ["model", "reduction"]), ("gen_graph", ["generate", "model", "reduction"])],
+)
+def test_reductions_stand_apart_from_the_verifier(name, modules):
+    # The reductions only build deals; checking a line is the verifier's job.
+    loaded = _child(f"import json, sys, crewsolver\ncrewsolver.{name}\nprint(json.dumps({_LOADED}))")
+    assert loaded == [f"crewsolver.{module}" for module in modules]
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

@@ -13,7 +13,7 @@ import pytest
 from make_parity_corpus import CORPUS_PATH, REDUCTIONS, SEARCH_BUDGET, build, digest, summary
 from crewsolver.generate import gen_graph
 from crewsolver.solvers import solve_exhaustive
-from test_exhaustive import independent_checks
+from test_reduce import has_path
 
 CORPUS = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
 
@@ -31,7 +31,6 @@ def test_reductions_answer_hamiltonian_path():
     search-hp graphs, which ``test_parity_corpus`` pins to the search,
     says whether the graph has a Hamiltonian path, as the Held-Karp oracle
     of ``perfbench/checks.py`` says.  Of the 24 graphs, 16 have a path."""
-    has_path = independent_checks().has_hamiltonian_path
     deals = [
         deal
         for deal in CORPUS["deals"].values()
@@ -41,7 +40,7 @@ def test_reductions_answer_hamiltonian_path():
     paths = 0
     for deal in deals:
         graph = gen_graph(*deal["args"])
-        truth = has_path(graph.vertices, graph.edges)
+        truth = has_path(graph)
         paths += truth
         if deal["decision"] is not None:
             assert deal["decision"] is truth, deal
