@@ -26,20 +26,21 @@ All pruning is decision-exact and cannot change the first accepting line:
   non-objective card in the same hand (no live or on-table card between),
   the two cards are interchangeable and only the higher is branched.
 
-Inside the kernel, cards are relabelled so that each suit is a run of
-consecutive bits in ascending value; the trick rows are mapped back to the
-caller's indices on return.  Branch order goes by (value, suit), never by
-index, so the relabel leaves the search unchanged.  With that layout the
-collapse test is one bitmask step: the lowest live-or-on-table bit above a
-card in its suit is its successor.  Every player plays exactly one card per
+The caller numbers the cards in ascending (suit, value) order, so each suit
+is a run of consecutive bits in ascending value; ``search`` raises
+``ValueError`` on any other order, since it would silently answer wrong.
+Branch order goes by (value, suit), never by index, and the trick rows
+come back in the caller's indices.  With that layout the collapse test is
+one bitmask step: the lowest live-or-on-table bit above a card in its suit
+is its successor.  Every player plays exactly one card per
 trick, so at trick depth ``d`` every hand holds its starting size minus ``d``
 cards, and ``min_size - d`` tricks are left.  The tricks-needed bound
 compares that with a count of the open objective cards alone, and it is
 also the empty-hand cut, since the count is at least 1 while an objective
 is open.  Cards never change hands, so the count, and the lead filter's
 mask, are cached per set of open objective cards.
-Within a suit a higher label is a higher card, so the seat loop compares
-labels, never values.  A seat reads its candidates from a per-search cache
+Within a suit a higher index is a higher card, so the seat loop compares
+indices, never values.  A seat reads its candidates from a per-search cache
 keyed on the candidate mask (the live cards it may play; hands are
 disjoint, so the mask names the player), which holds those cards' entries
 in branch order; the loop never walks a card it may not play.
@@ -104,7 +105,7 @@ def _tricks_needed(open_cards: int, obj_seats: dict[int, tuple[int, int, int]]) 
     """A lower bound on the tricks that must still take the objective cards
     of ``open_cards``.
 
-    ``obj_seats`` maps an objective card's label to its objective's owner,
+    ``obj_seats`` maps an objective card's index to its objective's owner,
     the card's holder and its suit.  Each open objective card must fall in
     a trick that its owner wins, and a trick has one winner, so different
     owners need different tricks: the count is a sum over owners ``w`` of
@@ -182,9 +183,9 @@ def _field(live: int, codes: list[int], width: int, offset: int) -> int:
 
 def search(
     p: int,
-    values: list[int],
-    suits: list[int],
-    owners: list[int],
+    value: list[int],
+    suit: list[int],
+    owner: list[int],
     obj_card: list[int],
     obj_owner: list[int],
     tokens_broken: Callable[[int, int], bool] | None,
@@ -194,6 +195,8 @@ def search(
 ) -> tuple[int, list[int], list[list[int]], int]:
     """Run the search; see the module docstring for the contract.
 
+    Card ``i`` has ``value[i]``, ``suit[i]`` and holder ``owner[i]``, and
+    the cards come in ascending (suit, value) order, else ``ValueError``.
     Players and suits are 0-based dense indices here; ``trump`` and
     ``first_lead`` use -1 for "none"; ``tokens_broken`` is ``None`` for a
     deal without tokens.  ``budget`` caps branch nodes (0 = unlimited).
@@ -201,17 +204,11 @@ def search(
     (loss) or -1 (budget exhausted); ``tricks`` holds card indices per trick
     in rotation order from that trick's lead.
     """
-    n = len(values)
+    n = len(value)
     limit = budget if budget > 0 else 1 << 63
-
-    # Internal label i is caller card orig[i]: suits in order, each suit
-    # ascending by value (ties keep the caller's order).
-    orig = sorted(range(n), key=lambda c: (suits[c], values[c]))
-    label = [0] * n
-    for i, c in enumerate(orig):
-        label[c] = i
-    suit = [suits[c] for c in orig]
-    owner = [owners[c] for c in orig]
+    order = list(zip(suit, value))
+    if order != sorted(order):
+        raise ValueError("cards must come in ascending (suit, value) order")
 
     hand_mask = [0] * p
     for i, q in enumerate(owner):
@@ -223,15 +220,15 @@ def search(
     for i, s in enumerate(suit):
         suit_mask[s] |= 1 << i
 
-    # Per objective card's label: its objective's bit, its owner, and
+    # Per objective card: its objective's bit, its owner, and
     # (owner, holder, suit) for _tricks_needed.
     obj_bit_of = {}
     obj_owner_of = {}
     obj_seats = {}
-    for o, c in enumerate(obj_card):
-        obj_bit_of[label[c]] = 1 << o
-        obj_owner_of[label[c]] = obj_owner[o]
-        obj_seats[label[c]] = (obj_owner[o], owners[c], suits[c])
+    for o, i in enumerate(obj_card):
+        obj_bit_of[i] = 1 << o
+        obj_owner_of[i] = obj_owner[o]
+        obj_seats[i] = (obj_owner[o], owner[i], suit[i])
     obj_cards = sum(1 << i for i in obj_bit_of)
     hand_nonobj = [m & ~obj_cards for m in hand_mask]
 
@@ -266,18 +263,17 @@ def search(
     fields = {0: 0}
 
     # Each player's cards in branch order, with what the seat loop reads
-    # about them: (bit, label, its objective's owner or -1, same-suit bits
+    # about them: (bit, index, its objective's owner or -1, same-suit bits
     # above, suit).
     cands = []
     for q in range(p):
         mine = sorted(
-            (c for c in range(n) if owners[c] == q),
-            key=lambda c: (values[c], suits[c]),
+            (i for i in range(n) if owner[i] == q),
+            key=lambda i: (value[i], suit[i]),
             reverse=True,
         )
         row = []
-        for c in mine:
-            i = label[c]
+        for i in mine:
             above = suit_mask[suit[i]] & ~((2 << i) - 1)
             row.append((1 << i, i, obj_owner_of.get(i, -1), above, suit[i]))
         cands.append(tuple(row))
@@ -433,9 +429,4 @@ def search(
     del seat, boundary
     if res != WIN:
         return (res, [], [], nodes)
-    return (
-        WIN,
-        trick_leads[:final_depth],
-        [[orig[i] for i in trick_cards[d]] for d in range(final_depth)],
-        nodes,
-    )
+    return (WIN, trick_leads[:final_depth], trick_cards[:final_depth], nodes)

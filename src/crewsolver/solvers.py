@@ -248,9 +248,11 @@ def _exhaustive(
 ) -> tuple[bool | None, PlaySequence | None, int]:
     """Encode ``instance`` for the search kernel, run it under ``budget``
     and decode its line; returns ``(decision, witness, nodes)``, with a
-    ``None`` decision when the budget ran out."""
-    cards = [card for hand in instance.hands for card in sorted(hand)]
-    owners = [q for q, hand in enumerate(instance.hands) for _ in hand]
+    ``None`` decision when the budget ran out.  The kernel's card ``i`` is
+    ``cards[i]``, in the (suit, value) order that it requires."""
+    holder = instance.holder_map()
+    cards = sorted(holder, key=lambda c: (c.suit, c.value))
+    owners = [holder[c] - 1 for c in cards]
 
     suit_ids = {s: i for i, s in enumerate(sorted({c.suit for c in cards}))}
     values = [c.value for c in cards]

@@ -1,4 +1,5 @@
-"""Write ``parity_corpus.json``: the search's pinned outputs on fixed deals.
+"""Write ``parity_corpus.json``: the search's pinned outputs on fixed deals,
+the one record of its decisions, witnesses and node counts.
 
 Run from the root of the repository::
 
@@ -10,8 +11,9 @@ the deal, its budget, the decision and the sha256 of ``dumps_witness`` of its
 winning line; ``nodes`` gives the node count.  A change that moves node
 counts alone (a new prune) thus shows as a diff of ``nodes`` only, and one
 that moves a decision or a witness as a diff of ``deals``.
-``test_parity.py`` re-solves each deal and compares.  Before it overwrites
-the file, the script prints what changed against it (``summary``).
+``test_parity.py`` re-solves each deal, compares and re-verifies each
+winning line.  Before it overwrites the file, the script prints what
+changed against it (``summary``).
 
 The deals: the 80 ``gen_general(n, 4, 6, seed)`` deals with n = 24-32 and
 seeds 0-15, and the three Hamiltonian-path reductions of the 24 graphs of
@@ -37,9 +39,9 @@ CORPUS_PATH = Path(__file__).with_name("parity_corpus.json")
 SEARCH_BUDGET = 10_000
 REDUCTIONS = ("reduce_hp", "reduce_hp_trump", "reduce_hp_tokens")
 
-# (kind, args) decided with no budget: YES and NO, tokens and trump, and the
+# (kind, args) decided with no budget: YES and NO, tokens and trump, the
 # two gen_general draws whose node count depends on the same-trick token
-# cycle test.
+# cycle test, and all three forms of gen_graph(6, 0.5, 2).
 UNBOUNDED = (
     ("reduce_hp_tokens", (5, 0.5, 1)),
     ("reduce_hp_trump", (5, 0.5, 0)),
@@ -51,6 +53,8 @@ UNBOUNDED = (
     ("gen_general", (28, 4, 6, 14)),
     ("gen_general", (20, 4, 6, 31)),
     ("gen_general", (20, 4, 6, 149)),
+    ("reduce_hp", (6, 0.5, 2)),
+    ("reduce_hp_trump", (6, 0.5, 2)),
 )
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +106,32 @@ def test_input_error_is_one_line_exit_two(command, error_files, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message.format(**error_files)}\n"
     assert captured.out == ""
+
+
+def test_readme_quick_start(tmp_path, monkeypatch, capsys):
+    """README's quick start, run in a fresh directory: its ``printf`` writes
+    the graph, and each ``crew`` command, called through ``entry``, exits 0
+    and prints the lines shown under it, all but the ``elapsed:`` time."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    steps = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            steps.append((shlex.split(line[2:]), []))
+        elif line:
+            steps[-1][1].append(line)
+    monkeypatch.chdir(tmp_path)
+    printf, text, redirect, graph = steps.pop(0)[0]
+    assert (printf, redirect) == ("printf", ">")
+    Path(graph).write_text(text.replace("\\n", "\n"))
+    assert [argv[0] for argv, _ in steps] == ["crew"] * 3
+
+    def timeless(lines):
+        return [line for line in lines if not line.startswith("elapsed: ")]
+
+    for argv, shown in steps:
+        assert entry(argv[1:]) == 0, argv
+        assert timeless(capsys.readouterr().out.splitlines()) == timeless(shown), argv
 
 
 class TestSolve:

@@ -11,6 +11,8 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 from crewsolver import _search_py
 from crewsolver.generate import gen_general, gen_graph
 from crewsolver.model import Card, Instance, Objective, Play, TokenConstraint, Trick
@@ -162,43 +164,6 @@ def test_kernel_imports_nothing_from_package():
             assert name.split(".")[0] != "crewsolver", ast.unparse(node)
 
 
-# (status, nodes, first trick's cards) per deal and budget, cuts included.
-_PINNED = [
-    (lambda: gen_general(24, 4, 6, 0), 10_000, 0, 5624, None),
-    (lambda: gen_general(24, 4, 6, 1), 10_000, -1, 10001, None),
-    (lambda: gen_general(28, 4, 6, 2), 10_000, 1, 417, [(9, 3), (4, 3), (2, 3), (11, 3)]),
-    (lambda: gen_general(28, 4, 6, 3), 10_000, -1, 10001, None),
-    (lambda: gen_general(32, 4, 6, 1), 10_000, 1, 30, [(8, 2), (5, 2), (2, 2), (7, 2)]),
-    (lambda: gen_general(32, 4, 6, 2), 10_000, 0, 4262, None),
-    (lambda: reduce_hp(gen_graph(6, 0.5, 2)), 10_000, 1, 98,
-     [(3, 1), (1, 1), (4, 9), (2, 1), (3, 11), (4, 2)]),
-    (lambda: reduce_hp_trump(gen_graph(6, 0.5, 2)), 10_000, 1, 177,
-     [(3, 1), (1, 1), (4, 9), (2, 1), (3, 11), (4, 2)]),
-    (lambda: reduce_hp_tokens(gen_graph(6, 0.5, 2)), 10_000, 1, 654,
-     [(3, 1), (1, 1), (4, 10), (2, 1), (5, 7), (6, 7), (6, 14)]),
-    (lambda: reduce_hp_tokens(gen_graph(5, 0.5, 1)), 0, 0, 12785, None),
-    (lambda: reduce_hp_tokens(gen_graph(5, 0.5, 2)), 0, 1, 1026,
-     [(2, 1), (1, 1), (3, 6), (4, 6), (3, 2), (5, 12)]),
-    (lambda: reduce_hp_trump(gen_graph(5, 0.5, 0)), 0, 0, 732, None),
-    # The only gen_general draws seen whose node count depends on the
-    # same-trick token cycle test.
-    (lambda: gen_general(20, 4, 6, 31), 0, 0, 611, None),
-    (lambda: gen_general(20, 4, 6, 149), 0, 0, 1023, None),
-]
-
-
-def test_kernel_outputs_pinned():
-    for row, (make, budget, status, nodes, first) in enumerate(_PINNED):
-        inst = make()
-        report = solve_exhaustive(inst, budget=budget)
-        got_status = {True: 1, False: 0, None: -1}[report.decision]
-        witness, got_nodes = report.witness, report.stats.nodes
-        got_first = [tuple(p.card) for p in witness.tricks[0].plays] if witness else None
-        assert (got_status, got_nodes, got_first) == (status, nodes, first), row
-        if witness is not None:
-            assert verify_sequence(inst, witness).accepted
-
-
 def test_search_frees_its_memo_on_return():
     """``seat`` and ``boundary`` refer to each other, and the kernel breaks
     that cycle before it returns: with the cyclic collector off, a YES, a NO
@@ -220,32 +185,18 @@ def test_search_frees_its_memo_on_return():
             gc.enable()
 
 
-def test_kernel_index_order(uneven_deal, monkeypatch):
-    """Permuting the card indices changes nothing but the indices returned."""
-    calls = []
-    search = _search_py.search
-    monkeypatch.setattr(
-        _search_py, "search", lambda *args: calls.append(args) or search(*args)
+def test_kernel_rejects_cards_out_of_order():
+    """The kernel reads index order as rank order within a suit, so it
+    refuses cards that do not come in ascending (suit, value) order.  Here
+    player 2 holds its own objective, the 2, as card 0, and player 1 the 1
+    as card 1: player 2 wins with the 2 whoever leads, yet read in index
+    order the 1 would be the higher card and the objective lost."""
+    with pytest.raises(ValueError, match=r"ascending \(suit, value\) order"):
+        _search_py.search(2, [2, 1], [0, 0], [1, 0], [0], [1], None, -1, -1, 0)
+    status, leads, tricks, _ = _search_py.search(
+        2, [1, 2], [0, 0], [0, 1], [1], [1], None, -1, -1, 0
     )
-    rng = random.Random(3)
-    for inst in (uneven_deal, reduce_hp_trump(gen_graph(5, 0.5, 2))):
-        solve_exhaustive(inst, budget=0)
-        args = calls.pop()
-        cards = [c for hand in inst.hands for c in sorted(hand)]  # the solver's order
-        status, leads, tricks, nodes = search(*args)
-        assert status == 1
-        named = [[cards[c] for c in row] for row in tricks]
-        for _ in range(5):
-            perm = list(range(len(cards)))  # new index i holds old card perm[i]
-            rng.shuffle(perm)
-            new_of = {old: new for new, old in enumerate(perm)}
-            shuffled = list(args)
-            for k in (1, 2, 3):  # values, suits, owners
-                shuffled[k] = [args[k][old] for old in perm]
-            shuffled[4] = [new_of[c] for c in args[4]]  # obj_card
-            got = search(*shuffled)
-            assert got[0] == status and got[3] == nodes and got[1] == leads
-            assert [[cards[perm[c]] for c in row] for row in got[2]] == named
+    assert (status, leads, tricks) == (1, [0], [[0, 1]])
 
 
 def test_tokens_broken_gets_objective_masks(monkeypatch):
@@ -387,12 +338,12 @@ def test_tight_lead_filter_keeps_trump_objective():
     Player 1 must win its (3, 1) and then lead the (2, 1), which player 2
     trumps with its own objective (1, 2).  The package's model puts no
     objective in the trump suit, but the kernel's contract allows it, so
-    the kernel is called directly: cards 0-3 are (3, 1), (2, 1), (1, 2) and
+    the kernel is called directly: cards 0-3 are (2, 1), (3, 1), (1, 2) and
     (1, 3), with suits 1, 2 and 3 as kernel suits 0, 1 and 2."""
     status, leads, tricks, _ = _search_py.search(
-        2, [3, 2, 1, 1], [0, 0, 1, 2], [0, 0, 1, 1], [0, 2], [0, 1], None, 1, 0, 0
+        2, [2, 3, 1, 1], [0, 0, 1, 2], [0, 0, 1, 1], [1, 2], [0, 1], None, 1, 0, 0
     )
-    assert (status, leads, tricks) == (1, [0, 0], [[0, 3], [1, 2]])
+    assert (status, leads, tricks) == (1, [0, 0], [[1, 3], [0, 2]])
     deal = Instance(
         players=2,
         k=3,

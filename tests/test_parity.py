@@ -1,7 +1,8 @@
 """The search kernel against its pinned outputs on the parity corpus.
 
-``parity_corpus.json`` is written by ``make_parity_corpus.py``; a change that
-moves a decision, a witness or a node count must regenerate it and say so.
+``parity_corpus.json`` is written by ``make_parity_corpus.py`` and is the
+one pinned record of the search; a change that moves a decision, a witness
+or a node count must regenerate it and say so.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ import json
 
 import pytest
 
+import make_parity_corpus
 from make_parity_corpus import CORPUS_PATH, REDUCTIONS, SEARCH_BUDGET, build, digest, summary
 from crewsolver.generate import gen_graph
 from crewsolver.solvers import solve_exhaustive
+from crewsolver.verify import verify_sequence
 from test_reduce import has_path
 
 CORPUS = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
@@ -21,9 +24,20 @@ CORPUS = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
 @pytest.mark.parametrize("key", list(CORPUS["deals"]))
 def test_parity_corpus(key):
     deal = CORPUS["deals"][key]
-    report = solve_exhaustive(build(deal["kind"], deal["args"]), budget=deal["budget"])
+    instance = build(deal["kind"], deal["args"])
+    report = solve_exhaustive(instance, budget=deal["budget"])
     assert (report.decision, digest(report.witness)) == (deal["decision"], deal["witness_sha256"])
     assert report.stats.nodes == CORPUS["nodes"][key]
+    if report.decision:
+        assert verify_sequence(instance, report.witness).accepted
+
+
+def test_corpus_matches_its_generator():
+    """The corpus holds exactly the generator's deals, in its order, so a
+    deal added to the generator without a regeneration fails here."""
+    names = [make_parity_corpus.name(*deal) for deal in make_parity_corpus.deals()]
+    assert list(CORPUS["deals"]) == names
+    assert list(CORPUS["nodes"]) == names
 
 
 def test_reductions_answer_hamiltonian_path():
