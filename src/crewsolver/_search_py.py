@@ -19,6 +19,14 @@ All pruning is decision-exact and cannot change the first accepting line:
   by its owner, off trumps, can only win a trick led in its suit, so while
   every open objective card is such a card, only a card of one of their
   suits may lead (``_tight_leads``), and a leader with none loses at once;
+* one-trick lookahead — in such a position the open objective cards need
+  one trick each, and a trick that does not lose completes exactly one,
+  ``x``: its owner plays ``x``, wins with it and leads next, in a position
+  that is tight again with ``x`` gone.  So, unless ``x`` is the last open
+  objective card, the owner must keep a live card that the filter allows
+  there, and a suit may lead only if some open ``x`` of it passes that test
+  (``_next_leads``).  A leader left with no lead loses, and the position
+  is memoized as lost;
 * misroute pairs — two uncompleted objective cards with different owners in
   the same trick guarantee a misroute, as does an objective card whose owner
   has already played and is not currently winning the trick;
@@ -38,7 +46,8 @@ cards, and ``min_size - d`` tricks are left.  The tricks-needed bound
 compares that with a count of the open objective cards alone, and it is
 also the empty-hand cut, since the count is at least 1 while an objective
 is open.  Cards never change hands, so the count, and the lead filter's
-mask, are cached per set of open objective cards.
+mask, are cached per set of open objective cards; the lookahead reads the
+live cards too, so only its masks one trick ahead are cached.
 Within a suit a higher index is a higher card, so the seat loop compares
 indices, never values.  A seat reads its candidates from a per-search cache
 keyed on the candidate mask (the live cards it may play; hands are
@@ -62,14 +71,14 @@ its live cards in rank order, each given as its (holder, objective or none)
 pair.  Two positions with the same lead and the same pattern in every suit
 are the same game: each hand holds as many live cards, and following suit,
 the trick winner, misroutes, token order, the tricks-needed bound, the
-lead filter and the equal-card collapse see only the patterns.  So a loss
-of one is a loss of the other, and the key is decision-exact; the memo
-holds losses only, so the first accepting line is unchanged.  In a suit
-where no holder has two non-objective cards, the pattern fixes the live
-set, and the key keeps the suit's bits of ``rem``.  So does a suit whose
-cards are all non-objective cards of one hand: equal-card collapse always
-plays its top live card, so its live set is always its lowest cards, as
-many as its pattern has.  Each other (loose) suit adds its pattern's
+lead filter, its lookahead and the equal-card collapse see only the
+patterns.  So a loss of one is a loss of the other, and the key is
+decision-exact; the memo holds losses only, so the first accepting line
+is unchanged.  In a suit where no holder has two non-objective cards, the
+pattern fixes the live set, and the key keeps the suit's bits of
+``rem``.  So does a suit whose cards are all non-objective cards of one
+hand: equal-card collapse always plays its top live card, so its live set
+is always its lowest cards, as many as its pattern has.  Each other (loose) suit adds its pattern's
 codes, numbered within the suit, as one field at a fixed offset from bit
 ``n`` up, with a leading 1 bit; the field is cached per live mask of the
 suit, and an empty suit adds 0.  The key is that int ``* p + lead``.  Both kinds of key
@@ -166,6 +175,48 @@ def _tight_leads(
             return -1
         leads |= suit_mask[s]
         open_cards ^= low
+    return leads
+
+
+def _next_leads(
+    open_cards: int,
+    rem: int,
+    hand_mask: list[int],
+    obj_seats: dict[int, tuple[int, int, int]],
+    suit_mask: list[int],
+    trump: int,
+    tight: dict[int, int],
+) -> int:
+    """The cards that may lead a trick in a tight position where
+    ``_tight_leads(open_cards)`` is a mask, looking one trick ahead.
+
+    There every open objective card is held by its owner, off trumps, and
+    the count of tricks needed is the number of open cards.  A trick that
+    does not lose completes exactly one of them, ``x``: it must complete
+    one, a second owner's card would be misrouted, and an owner plays one
+    card per trick.  So the trick is led in ``x``'s suit, its owner ``w``
+    wins it with ``x`` and leads next, in a position as tight as this one
+    with ``x`` gone.  Unless ``x`` was the last open objective card, ``w``
+    must then hold a live card (in ``rem``) that ``_tight_leads`` allows
+    there.  A suit is kept if some open ``x`` of it passes that test; the
+    masks for the open sets one card smaller are cached in ``tight``.  The
+    test reads only the open objective cards, their suits and holders, and
+    whether a holder has a live card in a suit, so the pattern key sees it.
+    """
+    leads = 0
+    rest = open_cards
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w, _, s = obj_seats[low.bit_length() - 1]
+        after = open_cards ^ low
+        if after and not leads & suit_mask[s]:
+            nxt = tight.get(after)
+            if nxt is None:
+                nxt = tight[after] = _tight_leads(after, obj_seats, suit_mask, trump)
+            if not hand_mask[w] & rem & nxt & ~low:
+                continue
+        leads |= suit_mask[s]
     return leads
 
 
@@ -410,6 +461,12 @@ def search(
                 alias |= field
             alias = alias * p + lead
             if alias in failed:
+                return LOSS
+        if allowed != -1:
+            allowed = _next_leads(open_cards, rem, hand_mask, obj_seats, suit_mask, trump, tight)
+            if not hand_mask[lead] & rem & allowed:
+                failed.add(key)
+                failed.add(alias)
                 return LOSS
         trick_leads[depth] = lead
         res = seat(rem, rem, lead, 0, allowed, -1, -1, depth)

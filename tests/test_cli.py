@@ -539,7 +539,7 @@ class TestBench:
 
     def test_quick_known_answer_row(self, quick_bench_rows):
         rows = [r for r in quick_bench_rows if r["name"].startswith("exhaustive reduce_hp_tokens")]
-        assert [r["note"] for r in rows] == ["nodes=12785 decision=False (known: False)"]
+        assert [r["note"] for r in rows] == ["nodes=6572 decision=False (known: False)"]
 
     def test_quick_cli_row(self, quick_bench_rows):
         rows = [r for r in quick_bench_rows if r["name"].startswith("crew solve child")]

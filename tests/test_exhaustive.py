@@ -221,15 +221,12 @@ def test_tokens_broken_gets_objective_masks(monkeypatch):
         tokens=(TokenConstraint(0, before=frozenset({1, 2, 3})),),
     )
     report = solve_exhaustive(deal, budget=0)
-    assert (report.decision, report.stats.nodes) == (True, 93)
+    assert (report.decision, report.stats.nodes) == (True, 44)
     everything = (1 << len(deal.objectives)) - 1
     for done, new in calls:
         assert new and not done & new and (done | new) & ~everything == 0
     assert len(set(calls)) == len(calls)
-    assert calls == [
-        (0, 8), (8, 1), (8, 2), (10, 1), (8, 4), (12, 1),
-        (0, 1), (0, 2), (2, 1), (2, 8), (10, 4), (14, 1),
-    ]
+    assert calls == [(0, 8), (8, 2), (8, 4), (0, 2), (2, 8), (10, 4), (14, 1)]
 
 
 def _tricks_needed(inst: Instance, own_card_wins: bool = True) -> int:
@@ -302,6 +299,12 @@ def test_own_objective_card_must_win():
     assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is False
 
 
+def _filter_alone(open_cards, rem, hand_mask, obj_seats, suit_mask, trump, tight):
+    """A stand-in for ``_next_leads`` that keeps every lead the tight-bound
+    lead filter keeps: the kernel without its one-trick lookahead."""
+    return _search_py._tight_leads(open_cards, obj_seats, suit_mask, trump)
+
+
 def test_tight_lead_filter_cuts_junk_leads(monkeypatch):
     """Each player holds and owns the top card of its own suit, and three
     tricks are left for three objectives, so every trick must complete one:
@@ -311,7 +314,9 @@ def test_tight_lead_filter_cuts_junk_leads(monkeypatch):
     4, which no one else holds, so it wins the first trick and leads the
     next one too: the deal is lost.  The tight-bound lead filter never leads
     suit 4, so it refutes the deal in 7 nodes, where leading every card
-    takes 37."""
+    takes 37.  Looking one trick ahead refutes it with no card played: a
+    trick led in suit 1 leaves player 1 on lead with only suit 4, and
+    player 1 holds no card of suits 2 and 3."""
     deal = Instance(
         players=3,
         k=5,
@@ -325,8 +330,11 @@ def test_tight_lead_filter_cuts_junk_leads(monkeypatch):
         first_lead=1,
     )
     report = solve_exhaustive(deal, budget=0)
-    assert (report.decision, report.stats.nodes) == (False, 7)
+    assert (report.decision, report.stats.nodes) == (False, 0)
     assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is False
+    monkeypatch.setattr(_search_py, "_next_leads", _filter_alone)
+    report = solve_exhaustive(deal, budget=0)
+    assert (report.decision, report.stats.nodes) == (False, 7)
     monkeypatch.setattr(_search_py, "_tight_leads", lambda *args: -1)
     report = solve_exhaustive(deal, budget=0)
     assert (report.decision, report.stats.nodes) == (False, 37)
@@ -377,6 +385,59 @@ def test_tight_lead_filter_keeps_leads_for_shed_objectives():
     assert [[p.card for p in t.plays] for t in report.witness.tricks] == [
         [Card(5, 1), Card(2, 2)],
         [Card(1, 3), Card(3, 3)],
+    ]
+    assert verify_sequence(deal, report.witness).accepted
+    assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is True
+
+
+def test_lookahead_refutes_a_winner_without_a_next_lead(monkeypatch):
+    """Player 1 holds only suit 1, with two of its own objectives, and
+    player 2 is void in it, so player 1 wins every trick it leads; player
+    2's objective (2, 2) needs a trick led in suit 2.  Every position is
+    tight.  After the first trick, player 1 may lead only suit 1, and the
+    trick it wins there leaves it on lead with only (2, 2) open: the
+    lookahead refutes each such position before its second trick starts,
+    in 10 nodes in all, where the lead filter alone plays the second
+    tricks out, in 30."""
+    deal = Instance(
+        players=2,
+        k=4,
+        s=3,
+        hands=(
+            frozenset({Card(4, 1), Card(2, 1), Card(1, 1)}),
+            frozenset({Card(3, 2), Card(2, 2), Card(4, 3)}),
+        ),
+        objectives=(Objective(Card(4, 1), 1), Objective(Card(1, 1), 1), Objective(Card(2, 2), 2)),
+        first_lead=1,
+    )
+    report = solve_exhaustive(deal, budget=0)
+    assert (report.decision, report.stats.nodes) == (False, 10)
+    assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is False
+    monkeypatch.setattr(_search_py, "_next_leads", _filter_alone)
+    report = solve_exhaustive(deal, budget=0)
+    assert (report.decision, report.stats.nodes) == (False, 30)
+
+
+def test_lookahead_keeps_a_suit_two_owners_share():
+    """Suit 1 holds both open objectives, player 1's (4, 1) and player 2's
+    (3, 1), each held by its owner, and no other suit is dealt.  Whichever
+    owner wins the first trick has only suit 1 left to lead, which the
+    lookahead must still allow, since the other owner's objective is open
+    in it: player 1 takes its (4, 1) under the (2, 1), then leads the
+    (1, 1) to player 2's (3, 1)."""
+    deal = Instance(
+        players=2,
+        k=4,
+        s=1,
+        hands=(frozenset({Card(4, 1), Card(1, 1)}), frozenset({Card(3, 1), Card(2, 1)})),
+        objectives=(Objective(Card(4, 1), 1), Objective(Card(3, 1), 2)),
+        first_lead=1,
+    )
+    report = solve_exhaustive(deal, budget=0)
+    assert report.decision is True
+    assert [[p.card for p in t.plays] for t in report.witness.tricks] == [
+        [Card(4, 1), Card(2, 1)],
+        [Card(1, 1), Card(3, 1)],
     ]
     assert verify_sequence(deal, report.witness).accepted
     assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is True

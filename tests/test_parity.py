@@ -60,7 +60,7 @@ def test_reductions_answer_hamiltonian_path():
             assert deal["decision"] is truth, deal
             decided[deal["kind"]] += 1
     assert (len(deals), paths) == (72, 3 * 16)
-    assert decided == {"reduce_hp": 18, "reduce_hp_trump": 16, "reduce_hp_tokens": 10}
+    assert decided == {"reduce_hp": 21, "reduce_hp_trump": 18, "reduce_hp_tokens": 13}
 
 
 def test_summary_names_what_moved():
