@@ -18,15 +18,16 @@ All pruning is decision-exact and cannot change the first accepting line:
   leaves the same count with a trick fewer.  An open objective card held
   by its owner, off trumps, can only win a trick led in its suit, so while
   every open objective card is such a card, only a card of one of their
-  suits may lead (``_tight_leads``), and a leader with none loses at once;
+  suits may lead (``_bound``'s ``leads``), and a leader with none loses at
+  once;
 * one-trick lookahead — in such a position the open objective cards need
   one trick each, and a trick that does not lose completes exactly one,
   ``x``: its owner plays ``x``, wins with it and leads next, in a position
   that is tight again with ``x`` gone.  So, unless ``x`` is the last open
   objective card, the owner must keep a live card that the filter allows
   there, and a suit may lead only if some open ``x`` of it passes that test
-  (``_next_leads``).  A leader left with no lead loses, and the position
-  is memoized as lost;
+  (``_bound``'s ``ahead``).  A leader left with no lead loses, and the
+  position is memoized as lost;
 * misroute pairs — two uncompleted objective cards with different owners in
   the same trick guarantee a misroute, as does an objective card whose owner
   has already played and is not currently winning the trick;
@@ -45,9 +46,9 @@ trick, so at trick depth ``d`` every hand holds its starting size minus ``d``
 cards, and ``min_size - d`` tricks are left.  The tricks-needed bound
 compares that with a count of the open objective cards alone, and it is
 also the empty-hand cut, since the count is at least 1 while an objective
-is open.  Cards never change hands, so the count, and the lead filter's
-mask, are cached per set of open objective cards; the lookahead reads the
-live cards too, so only its masks one trick ahead are cached.
+is open.  Cards never change hands, so the count, the lead filter's mask
+and the lookahead's pairs are cached per set of open objective cards; the
+lookahead then reads only which of each pair's cards are live.
 Within a suit a higher index is a higher card, so the seat loop compares
 indices, never values.  A seat reads its candidates from a per-search cache
 keyed on the candidate mask (the live cards it may play; hands are
@@ -59,33 +60,29 @@ settles the finished trick and opens the next, and ``seat`` plays one card;
 the last seat calls ``boundary`` directly.
 
 A position between tricks is the pair ``(rem, lead)`` of live cards and
-leader, and its exact memo key is the one int ``rem * p + lead``.  The
-completed objectives need no place in it: at every trick boundary the
-search reaches, they are exactly those whose cards have left ``rem``, since
-the seat loop drops any trick that misroutes an objective and a line that
-breaks token order ends at that trick.
+leader.  The completed objectives need no place in it: at every trick
+boundary the search reaches, they are exactly those whose cards have left
+``rem``, since the seat loop drops any trick that misroutes an objective
+and a line that breaks token order ends at that trick.
 
-Only on an exact miss does ``boundary`` build the position's pattern key,
-the rank-relative transposition key of Haglund's DDS.  A suit's pattern is
-its live cards in rank order, each given as its (holder, objective or none)
-pair.  Two positions with the same lead and the same pattern in every suit
-are the same game: each hand holds as many live cards, and following suit,
-the trick winner, misroutes, token order, the tricks-needed bound, the
-lead filter, its lookahead and the equal-card collapse see only the
-patterns.  So a loss of one is a loss of the other, and the key is
-decision-exact; the memo holds losses only, so the first accepting line
-is unchanged.  In a suit where no holder has two non-objective cards, the
-pattern fixes the live set, and the key keeps the suit's bits of
-``rem``.  So does a suit whose cards are all non-objective cards of one
-hand: equal-card collapse always plays its top live card, so its live set
-is always its lowest cards, as many as its pattern has.  Each other (loose) suit adds its pattern's
-codes, numbered within the suit, as one field at a fixed offset from bit
-``n`` up, with a leading 1 bit; the field is cached per live mask of the
-suit, and an empty suit adds 0.  The key is that int ``* p + lead``.  Both kinds of key
-live in the one ``failed`` set, and a loss adds both.  They cannot name
-different positions: a pattern key with a loose suit live is at least
-``2**n * p``, above every exact key, and one with none live is the exact
-key itself.
+The memo keys a lost position on its pattern, the rank-relative
+transposition key of Haglund's DDS.  A suit's pattern is its live cards in
+rank order, each given as its (holder, objective or none) pair.  Two
+positions with the same lead and the same pattern in every suit are the
+same game: each hand holds as many live cards, and following suit, the
+trick winner, misroutes, token order, the tricks-needed bound, the lead
+filter, its lookahead and the equal-card collapse see only the patterns.
+So a loss of one is a loss of the other, and the key is decision-exact;
+the memo holds losses only, so the first accepting line is unchanged.  In
+a suit where no holder has two non-objective cards, the pattern fixes the
+live set, and the key keeps the suit's bits of ``rem``.  So does a suit
+whose cards are all non-objective cards of one hand: equal-card collapse
+always plays its top live card, so its live set is always its lowest
+cards, as many as its pattern has.  Each other (loose) suit adds its
+pattern's codes, numbered within the suit, as one field at a fixed offset
+from bit ``n`` up, with a leading 1 bit; the field is cached per live mask
+of the suit, and an empty suit adds 0.  The key is that int ``* p +
+lead``, so with no loose suit live it is ``rem * p + lead``.
 
 ``seat`` and ``boundary`` refer to each other, so ``search`` deletes both
 names before it returns, and its memo and caches are freed at once, not by
@@ -150,74 +147,65 @@ def _tricks_needed(open_cards: int, obj_seats: dict[int, tuple[int, int, int]]) 
     return sum(most.values())
 
 
-def _tight_leads(
+def _bound(
     open_cards: int,
     obj_seats: dict[int, tuple[int, int, int]],
     suit_mask: list[int],
     trump: int,
-) -> int:
-    """The cards that may lead a trick that must complete an objective of
-    ``open_cards``, as a mask (-1 for every card).
-
-    An open objective card held by its owner ``w`` falls in its trick as
-    the card ``w`` plays there, so it must win that trick; off trumps, it
-    wins only a trick led in its suit.  So if every open objective card is
-    held by its owner and none is a trump, only a card of one of their
-    suits may lead.  An owner may win with another card while a second
-    holder sheds the objective card, and a trump wins off-suit, so either
-    leaves every lead.
-    """
-    leads = 0
-    while open_cards:
-        low = open_cards & -open_cards
-        w, h, s = obj_seats[low.bit_length() - 1]
-        if w != h or s == trump:
-            return -1
-        leads |= suit_mask[s]
-        open_cards ^= low
-    return leads
-
-
-def _next_leads(
-    open_cards: int,
-    rem: int,
     hand_mask: list[int],
-    obj_seats: dict[int, tuple[int, int, int]],
-    suit_mask: list[int],
-    trump: int,
-    tight: dict[int, int],
-) -> int:
-    """The cards that may lead a trick in a tight position where
-    ``_tight_leads(open_cards)`` is a mask, looking one trick ahead.
+) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """What the open objective cards ``open_cards`` say of a position, as
+    ``(count, leads, ahead)``.
 
-    There every open objective card is held by its owner, off trumps, and
-    the count of tricks needed is the number of open cards.  A trick that
-    does not lose completes exactly one of them, ``x``: it must complete
-    one, a second owner's card would be misrouted, and an owner plays one
-    card per trick.  So the trick is led in ``x``'s suit, its owner ``w``
+    ``count`` is ``_tricks_needed``.  Where it equals the tricks left, every
+    trick must complete an objective, and ``leads`` is the mask of the cards
+    that may lead it (-1 for every card).  An open objective card held by
+    its owner ``w`` falls in its trick as the card ``w`` plays there, so it
+    must win that trick; off trumps, it wins only a trick led in its suit.
+    So if every open objective card is held by its owner and none is a
+    trump, only a card of one of their suits may lead.  An owner may win
+    with another card while a second holder sheds the objective card, and a
+    trump wins off-suit, so either leaves every lead.
+
+    ``ahead`` looks one trick further where ``leads`` is a mask.  A trick
+    that does not lose there completes exactly one open card ``x``: it must
+    complete one, a second owner's card would be misrouted, and an owner
+    plays one card per trick.  So the trick is led in ``x``'s suit, ``w``
     wins it with ``x`` and leads next, in a position as tight as this one
-    with ``x`` gone.  Unless ``x`` was the last open objective card, ``w``
-    must then hold a live card (in ``rem``) that ``_tight_leads`` allows
-    there.  A suit is kept if some open ``x`` of it passes that test; the
-    masks for the open sets one card smaller are cached in ``tight``.  The
-    test reads only the open objective cards, their suits and holders, and
-    whether a holder has a live card in a suit, so the pattern key sees it.
+    with ``x`` gone, whose lead mask is the other open cards' suits.
+    ``ahead`` holds, per open ``x``, the pair of ``x``'s suit mask and the
+    cards ``need`` of which ``w`` must keep one live: ``w``'s cards other
+    than ``x`` in those suits, or -1 if ``x`` is the last open card.  A
+    suit may lead from the live cards ``rem`` only if some pair of it has
+    ``rem & need``; a pair whose ``need`` is 0 never does, and is dropped.
+    The test reads only the open objective cards, their suits and holders,
+    and whether a holder has a live card in a suit, so the pattern key sees
+    it.
     """
+    count = _tricks_needed(open_cards, obj_seats)
+    seats = []
     leads = 0
     rest = open_cards
     while rest:
         low = rest & -rest
-        rest ^= low
-        w, _, s = obj_seats[low.bit_length() - 1]
-        after = open_cards ^ low
-        if after and not leads & suit_mask[s]:
-            nxt = tight.get(after)
-            if nxt is None:
-                nxt = tight[after] = _tight_leads(after, obj_seats, suit_mask, trump)
-            if not hand_mask[w] & rem & nxt & ~low:
-                continue
+        w, h, s = obj_seats[low.bit_length() - 1]
+        if w != h or s == trump:
+            return count, -1, ()
+        seats.append((low, w, suit_mask[s]))
         leads |= suit_mask[s]
-    return leads
+        rest ^= low
+    ahead = []
+    for x, w, suit in seats:
+        need = -1
+        if x != open_cards:
+            after = 0
+            for y, _, m in seats:
+                if y != x:
+                    after |= m
+            need = hand_mask[w] & ~x & after
+        if need:
+            ahead.append((suit, need))
+    return count, leads, tuple(ahead)
 
 
 def _field(live: int, codes: list[int], width: int, offset: int) -> int:
@@ -271,14 +259,12 @@ def search(
     for i, s in enumerate(suit):
         suit_mask[s] |= 1 << i
 
-    # Per objective card: its objective's bit, its owner, and
-    # (owner, holder, suit) for _tricks_needed.
+    # Per objective card: its objective's bit, and its objective's owner,
+    # its holder and its suit.
     obj_bit_of = {}
-    obj_owner_of = {}
     obj_seats = {}
     for o, i in enumerate(obj_card):
         obj_bit_of[i] = 1 << o
-        obj_owner_of[i] = obj_owner[o]
         obj_seats[i] = (obj_owner[o], owner[i], suit[i])
     obj_cards = sum(1 << i for i in obj_bit_of)
     hand_nonobj = [m & ~obj_cards for m in hand_mask]
@@ -326,7 +312,7 @@ def search(
         row = []
         for i in mine:
             above = suit_mask[suit[i]] & ~((2 << i) - 1)
-            row.append((1 << i, i, obj_owner_of.get(i, -1), above, suit[i]))
+            row.append((1 << i, i, obj_seats[i][0] if i in obj_seats else -1, above, suit[i]))
         cands.append(tuple(row))
 
     max_tricks = min_size + 1
@@ -337,10 +323,8 @@ def search(
     # disjoint, so the mask alone names the player.
     rows: dict[int, tuple] = {}
     failed: set[int] = set()
-    # _tricks_needed, and _tight_leads where asked, per set of open
-    # objective cards.
-    needed: dict[int, int] = {}
-    tight: dict[int, int] = {}
+    # _bound per set of open objective cards.
+    bounds: dict[int, tuple] = {}
     # tokens_broken's answer per (open, newly won) objective cards.
     blocked: dict[tuple[int, int], bool] = {}
     nodes = 0
@@ -435,44 +419,38 @@ def search(
         if not open_cards:
             final_depth = depth
             return WIN
-        count = needed.get(open_cards)
-        if count is None:
-            count = needed[open_cards] = _tricks_needed(open_cards, obj_seats)
+        bound = bounds.get(open_cards)
+        if bound is None:
+            bound = bounds[open_cards] = _bound(open_cards, obj_seats, suit_mask, trump, hand_mask)
+        count, allowed, ahead = bound
         if count > min_size - depth:
             return LOSS
-        allowed = -1
-        if count == min_size - depth:
-            allowed = tight.get(open_cards)
-            if allowed is None:
-                allowed = tight[open_cards] = _tight_leads(open_cards, obj_seats, suit_mask, trump)
-            if not hand_mask[lead] & rem & allowed:
-                return LOSS
-        key = rem * p + lead
+        if count < min_size - depth:
+            allowed = -1
+        elif not hand_mask[lead] & rem & allowed:
+            return LOSS
+        key = rem & fixed
+        for m in loose:
+            live = rem & m
+            field = fields.get(live)
+            if field is None:
+                field = fields[live] = _field(live, codes, *layout[m])
+            key |= field
+        key = key * p + lead
         if key in failed:
             return LOSS
-        alias = key
-        if loose:
-            alias = rem & fixed
-            for m in loose:
-                live = rem & m
-                field = fields.get(live)
-                if field is None:
-                    field = fields[live] = _field(live, codes, *layout[m])
-                alias |= field
-            alias = alias * p + lead
-            if alias in failed:
-                return LOSS
         if allowed != -1:
-            allowed = _next_leads(open_cards, rem, hand_mask, obj_seats, suit_mask, trump, tight)
+            allowed = 0
+            for suit_bits, need in ahead:
+                if rem & need:
+                    allowed |= suit_bits
             if not hand_mask[lead] & rem & allowed:
                 failed.add(key)
-                failed.add(alias)
                 return LOSS
         trick_leads[depth] = lead
         res = seat(rem, rem, lead, 0, allowed, -1, -1, depth)
         if res == LOSS:
             failed.add(key)
-            failed.add(alias)
         return res
 
     full_mask = (1 << n) - 1

@@ -140,7 +140,7 @@ def _cmd_reduce(args) -> int:
     if args.variant == "base":
         instance = reduce_hp(graph)
     elif args.variant == "trump":
-        instance = reduce_hp_trump(graph, args.trump_count)
+        instance = reduce_hp_trump(graph)
     else:
         instance = reduce_hp_tokens(graph)
 
@@ -235,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", help="compile a Hamiltonian-path graph file to an instance")
     p_reduce.add_argument("graph")
     p_reduce.add_argument("--variant", choices=("base", "trump", "tokens"), default="base")
-    p_reduce.add_argument("--trump-count", type=int, default=1, help="trump cards per player (trump variant)")
     p_reduce.add_argument("--out", help="instance file to write (default: print document)")
     p_reduce.add_argument("--json", action="store_true")
     p_reduce.set_defaults(fn=_cmd_reduce)

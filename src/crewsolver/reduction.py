@@ -133,25 +133,19 @@ def reduce_hp(graph: Graph) -> Instance:
     return _instance(*_deal(graph, junk_suit_base=graph.vertices))
 
 
-def reduce_hp_trump(graph: Graph, trump_count_per_player: int = 1) -> Instance:
+def reduce_hp_trump(graph: Graph) -> Instance:
     """Base reduction plus a trump suit dealt to every player except player 1.
 
-    Trump values run 1, 2, ... consecutively across players 2..V in vertex
-    order, ``trump_count_per_player`` cards each.  The extra trumps never
-    help: spending one only steals a trick whose objective someone else
-    still needs.
+    Players 2..V hold one trump each, valued 1, 2, ... in vertex order.
+    The trumps never help: spending one only steals a trick whose objective
+    someone else still needs.
     """
     if graph.vertices < 2:
         raise ValueError("trump variant needs at least two vertices")
-    if trump_count_per_player < 1:
-        raise ValueError("trump_count_per_player must be >= 1")
     hands, objectives = _deal(graph, junk_suit_base=graph.vertices)
     trump = 2 * graph.vertices + 1
-    value = 1
     for i in range(2, graph.vertices + 1):
-        for _ in range(trump_count_per_player):
-            hands[i - 1].append(Card(value, trump))
-            value += 1
+        hands[i - 1].append(Card(i - 1, trump))
     return _instance(hands, objectives, trump_suit=trump)
 
 

@@ -111,7 +111,7 @@ def variant_sweep():
             expected = has_path(g)
             variants = [reduce_hp_tokens(g)]
             if v >= 2:  # the trump deal needs a second player to hold trumps
-                variants.append(reduce_hp_trump(g, 1))
+                variants.append(reduce_hp_trump(g))
             for inst in variants:
                 report = solve_exhaustive(inst, budget=0)
                 checked += 1

@@ -299,10 +299,21 @@ def test_own_objective_card_must_win():
     assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is False
 
 
-def _filter_alone(open_cards, rem, hand_mask, obj_seats, suit_mask, trump, tight):
-    """A stand-in for ``_next_leads`` that keeps every lead the tight-bound
-    lead filter keeps: the kernel without its one-trick lookahead."""
-    return _search_py._tight_leads(open_cards, obj_seats, suit_mask, trump)
+_BOUND = _search_py._bound
+
+
+def _filter_alone(*args):
+    """A stand-in for ``_bound`` whose lookahead keeps every lead the
+    tight-bound lead filter keeps: the kernel without its one-trick
+    lookahead."""
+    count, leads, _ = _BOUND(*args)
+    return count, leads, ((leads, -1),)
+
+
+def _no_filter(*args):
+    """A stand-in for ``_bound`` that keeps every lead at a tight position:
+    the kernel with neither the lead filter nor its lookahead."""
+    return _BOUND(*args)[0], -1, ()
 
 
 def test_tight_lead_filter_cuts_junk_leads(monkeypatch):
@@ -332,10 +343,10 @@ def test_tight_lead_filter_cuts_junk_leads(monkeypatch):
     report = solve_exhaustive(deal, budget=0)
     assert (report.decision, report.stats.nodes) == (False, 0)
     assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is False
-    monkeypatch.setattr(_search_py, "_next_leads", _filter_alone)
+    monkeypatch.setattr(_search_py, "_bound", _filter_alone)
     report = solve_exhaustive(deal, budget=0)
     assert (report.decision, report.stats.nodes) == (False, 7)
-    monkeypatch.setattr(_search_py, "_tight_leads", lambda *args: -1)
+    monkeypatch.setattr(_search_py, "_bound", _no_filter)
     report = solve_exhaustive(deal, budget=0)
     assert (report.decision, report.stats.nodes) == (False, 37)
 
@@ -413,7 +424,7 @@ def test_lookahead_refutes_a_winner_without_a_next_lead(monkeypatch):
     report = solve_exhaustive(deal, budget=0)
     assert (report.decision, report.stats.nodes) == (False, 10)
     assert independent_checks().brute_force(json.loads(dumps_instance(deal))) is False
-    monkeypatch.setattr(_search_py, "_next_leads", _filter_alone)
+    monkeypatch.setattr(_search_py, "_bound", _filter_alone)
     report = solve_exhaustive(deal, budget=0)
     assert (report.decision, report.stats.nodes) == (False, 30)
 
@@ -469,7 +480,7 @@ def test_decisions_match_independent_search():
     answers those NO before any card is played.  In 155 some holder has two
     non-objective cards of a suit that also has an objective card or
     another hand's card, so two live sets of that suit can share a rank
-    pattern and the kernel's pattern key differs from its exact key."""
+    pattern, and the kernel's memo key joins them."""
     brute_force = independent_checks().brute_force
     deals = []
     for seed in range(400):

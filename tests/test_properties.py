@@ -414,7 +414,7 @@ def test_canonical_json_on_generated_and_reduced(uneven_deal, uneven_deal_win):
     generators = (gen_single_value, gen_ss_owned, gen_single_suit, gen_general)
     insts = [gen(40, 4, 4, seed) for seed in range(3) for gen in generators]
     graph = gen_graph(4, 0.6, 1)
-    insts += [reduce_hp(graph), reduce_hp_trump(graph, 1), reduce_hp_tokens(graph)]
+    insts += [reduce_hp(graph), reduce_hp_trump(graph), reduce_hp_tokens(graph)]
     meta = {"generator": "ss-owned", "seed": 0, "params": {"n": 40, "players": 4}}
     for inst in insts:
         _assert_canonical_instance(inst)

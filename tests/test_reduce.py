@@ -137,13 +137,13 @@ class TestReduceShape:
         assert solve_exhaustive(inst).decision is True
 
     def test_trump_variant_shape(self):
-        inst = reduce_hp_trump(PATH_5, 2)
+        inst = reduce_hp_trump(PATH_5)
         assert inst.trump_suit == 11  # one past the last junk suit
         trump_cards = sorted(
             c for h in inst.hands for c in h if c.suit == inst.trump_suit
         )
-        # Players 2..5 each hold two trumps, consecutively numbered.
-        assert [c.value for c in trump_cards] == list(range(1, 9))
+        # Players 2..5 each hold one trump, consecutively numbered.
+        assert [c.value for c in trump_cards] == list(range(1, 5))
         holders = {
             q
             for q, h in enumerate(inst.hands, start=1)
@@ -152,8 +152,6 @@ class TestReduceShape:
         assert holders == {2, 3, 4, 5}
         with pytest.raises(ValueError):
             reduce_hp_trump(Graph.from_edges(1, []))
-        with pytest.raises(ValueError):
-            reduce_hp_trump(PATH_5, 0)
 
     def test_tokens_variant_shape(self):
         inst = reduce_hp_tokens(PATH_5)
@@ -194,7 +192,7 @@ class TestEquivalence:
             expected = has_path(g)
             deals = [reduce_hp(g), reduce_hp_tokens(g)]
             if vertices >= 2:
-                deals += [reduce_hp_trump(g, count) for count in (1, 2, 3)]
+                deals.append(reduce_hp_trump(g))
             for inst in deals:
                 report = solve_exhaustive(inst)
                 assert report.decision is expected
